@@ -60,8 +60,6 @@ from .evaluation import (
     average_precision,
     class_center_codes,
     mean_average_precision,
-    min_interclass_distance,
-    rank,
 )
 from .losses import (
     ClassCenters,
@@ -72,7 +70,6 @@ from .losses import (
     pairs_from_labels,
     pairwise_loss,
     quantization_loss,
-    relaxed_inner_product,
     total_loss,
     update_centers,
 )

@@ -145,7 +145,11 @@ def _build_parser() -> _Parser:
 
 
 def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv, then re-parse with the JSON config file as defaults."""
+    """Parse argv, then re-parse with the JSON config file as defaults.
+
+    Each value must have its flag's type (``null`` only where the flag
+    defaults to unset), so a bad file is a usage error, not a traceback.
+    """
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is None:
         return args
@@ -158,20 +162,41 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
         raise _UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise _UsageError(f"config file {path} must hold a JSON object")
-    known = vars(args)
-    for key in values:
-        if key not in known:
-            raise _UsageError(f"config file {path}: unknown field {key!r}")
     sub = _build_parser()
-    for action_parser in _subparsers(sub):
-        action_parser.set_defaults(**values)
+    command_parser = _subparser(sub, args.command)
+    actions = {
+        a.dest: a for a in command_parser._actions
+        if not isinstance(a, argparse._HelpAction)
+    }
+    for key, value in values.items():
+        if key not in actions:
+            raise _UsageError(f"config file {path}: unknown field {key!r}")
+        expected = _config_type_error(actions[key], value)
+        if expected:
+            raise _UsageError(
+                f"config file {path}: field {key!r} must be {expected}, got {value!r}"
+            )
+    command_parser.set_defaults(**values)
     return sub.parse_args(argv)
 
 
-def _subparsers(parser: _Parser):
+def _config_type_error(action: argparse.Action, value) -> str | None:
+    """What a config value for ``action`` should have been, or None if it fits."""
+    if value is None:
+        return None if action.default is None else "a value, not null"
+    if isinstance(action, argparse._StoreTrueAction):
+        return None if isinstance(value, bool) else "true or false"
+    accepted = (int, float) if action.type is float else action.type
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        return None
+    return {int: "an integer", float: "a number", str: "a string"}[action.type]
+
+
+def _subparser(parser: _Parser, command: str) -> argparse.ArgumentParser:
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            yield from action.choices.values()
+            return action.choices[command]
+    raise KeyError(command)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -239,7 +264,8 @@ def _evaluate(
         dataset.labels[splits.query],
         encode(params, dataset.features[splits.database]),
         dataset.labels[splits.database],
-        k=k,
+        k,
+        params.code_bits,
     )
 
 

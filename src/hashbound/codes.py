@@ -1,5 +1,14 @@
 """Packed binary codes over {+1, -1} and their exact Hamming kernels.
 
+Representation
+--------------
+A batch of n codes of length L is an (n, W) uint64 word matrix with
+W = ceil(L/64), passed together with L.  This is what ``encoder``,
+``evaluation`` and ``cli`` exchange, and what the vectorized kernels
+(``pack_sign_rows``, ``packed_hamming_matrix``, ``codebook_min_distance``)
+take and return.  ``BinaryCode`` and ``Codebook`` are the scalar edge: bit
+level helpers, ``nearest_codeword`` and the HMX1 records.
+
 Bit layout
 ----------
 Symbol i of a length-L code lives at bit (i % 64) of word (i // 64), LSB
@@ -34,6 +43,7 @@ __all__ = [
     "inner_product",
     "distance_from_inner_product",
     "correction_radius",
+    "check_words",
     "codebook_min_distance",
     "nearest_codeword",
     "pack_sign_rows",
@@ -47,12 +57,23 @@ __all__ = [
 _WORD_BITS = 64
 _MAGIC = b"HMX1"
 
-# Per-byte popcount table; drives the vectorized distance kernel.
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
-
 def _word_count(length: int) -> int:
     return (length + _WORD_BITS - 1) // _WORD_BITS
+
+
+def check_words(words: np.ndarray, length: int | None = None) -> np.ndarray:
+    """Validate a packed (n, W) uint64 word matrix, and W == ceil(L/64) if L is given."""
+    if not isinstance(words, np.ndarray) or words.ndim != 2 or words.dtype != np.uint64:
+        raise ValueError("expected a 2-d uint64 word matrix")
+    if length is not None:
+        if length < 1:
+            raise ValueError("code length must be >= 1")
+        if words.shape[1] != _word_count(length):
+            raise ValueError(
+                f"length {length} needs {_word_count(length)} words per row, "
+                f"got {words.shape[1]}"
+            )
+    return words
 
 
 @dataclass(frozen=True)
@@ -221,6 +242,9 @@ def codes_from_word_rows(words: np.ndarray, length: int) -> list[BinaryCode]:
 def packed_hamming_matrix(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
     """All-pairs Hamming distances between two packed word matrices.
 
+    Popcount of the XORed words; the (n, m, W) intermediates take 9 bytes
+    per word pair.
+
     Args:
         a_words: (n, W) uint64.
         b_words: (m, W) uint64 with the same W.
@@ -228,21 +252,24 @@ def packed_hamming_matrix(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarra
     Returns:
         (n, m) int64 distance matrix.
     """
+    check_words(a_words)
+    check_words(b_words)
     if a_words.shape[1] != b_words.shape[1]:
         raise ValueError("word widths differ")
-    a8 = np.ascontiguousarray(a_words).view(np.uint8).reshape(a_words.shape[0], -1)
-    b8 = np.ascontiguousarray(b_words).view(np.uint8).reshape(b_words.shape[0], -1)
-    xor = a8[:, None, :] ^ b8[None, :, :]
-    return _POPCOUNT8[xor].sum(axis=2, dtype=np.int64)
+    xor = a_words[:, None, :] ^ b_words[None, :, :]
+    return np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
 
 
-def codebook_min_distance(book: Codebook) -> int:
-    """Minimum pairwise distance over distinct positions; 0 on duplicates."""
-    if len(book) < 2:
+def codebook_min_distance(words: np.ndarray) -> int:
+    """Minimum pairwise distance over distinct rows of an (n, W) word matrix.
+
+    Duplicate rows give 0.
+    """
+    check_words(words)
+    if len(words) < 2:
         raise ValueError("minimum distance needs at least two codes")
-    words = book.word_matrix()
     dist = packed_hamming_matrix(words, words)
-    iu = np.triu_indices(len(book), k=1)
+    iu = np.triu_indices(len(words), k=1)
     return int(dist[iu].min())
 
 

@@ -20,9 +20,9 @@ from typing import Any
 import numpy as np
 
 from .bounds import BoundProblem, MarginSet, derive_margins, margins_from_negative
-from .codes import BinaryCode, codebook_min_distance, pack_sign_rows, codes_from_word_rows
+from .codes import pack_sign_rows
 from .data import DatasetSplits
-from .evaluation import class_center_codes, mean_average_precision
+from .evaluation import mean_average_precision
 from .losses import (
     ClassCenters,
     classwise_total_loss,
@@ -188,10 +188,9 @@ def sgd_step(
     )
 
 
-def encode(params: EncoderParams, features: np.ndarray) -> list[BinaryCode]:
-    """Binarized codes for a feature batch."""
-    words = pack_sign_rows(forward(params, features))
-    return codes_from_word_rows(words, params.code_bits)
+def encode(params: EncoderParams, features: np.ndarray) -> np.ndarray:
+    """Binarized codes for a feature batch as an (n, ceil(L/64)) uint64 word matrix."""
+    return pack_sign_rows(forward(params, features))
 
 
 @dataclass(frozen=True)
@@ -264,7 +263,8 @@ def train(
 
     The per-epoch record holds the batch-mean loss components, the MAP of
     the validation split queried against the database split, and the minimum
-    pairwise distance among the per-class center codes of the database.
+    pairwise distance among the per-class center codes of the database, both
+    from one ``mean_average_precision`` call on packed word matrices.
 
     Raises:
         TrainingDivergedError: if any loss value stops being finite.
@@ -338,23 +338,17 @@ def train(
 
             db_relaxed = forward(params, dataset.features[splits.database])
             check_finite(db_relaxed, epoch)
-            db_codes = codes_from_word_rows(
-                pack_sign_rows(db_relaxed), config.code_bits
-            )
-            db_labels = dataset.labels[splits.database]
             val_relaxed = forward(params, dataset.features[splits.validation])
             check_finite(val_relaxed, epoch)
-            val_codes = codes_from_word_rows(
-                pack_sign_rows(val_relaxed), config.code_bits
-            )
             report = mean_average_precision(
-                val_codes,
+                pack_sign_rows(val_relaxed),
                 dataset.labels[splits.validation],
-                db_codes,
-                db_labels,
+                pack_sign_rows(db_relaxed),
+                dataset.labels[splits.database],
+                None,
+                config.code_bits,
                 include_per_query=False,
             )
-            min_dist = codebook_min_distance(class_center_codes(db_codes, db_labels))
             records.append(
                 EpochRecord(
                     epoch=epoch,
@@ -362,7 +356,7 @@ def train(
                     quantization=sum_quan / batches,
                     total=sum_total / batches,
                     val_map=report.map,
-                    min_center_distance=min_dist,
+                    min_center_distance=report.min_interclass_distance,
                 )
             )
     return params, TrainHistory(records=records, margins=margins)

@@ -19,19 +19,16 @@ import numpy as np
 
 from .bounds import BoundProblem, solve_target_distance
 from .codes import (
-    BinaryCode,
-    Codebook,
-    from_signs,
+    check_words,
+    codebook_min_distance,
+    pack_sign_rows,
     packed_hamming_matrix,
-    word_matrix,
 )
 
 __all__ = [
     "EvalReport",
-    "rank",
     "average_precision",
     "mean_average_precision",
-    "min_interclass_distance",
     "class_center_codes",
 ]
 
@@ -49,18 +46,6 @@ def _curve_cutoffs(limit: int) -> list[int]:
                 return out
             out.append(k)
         scale *= 10
-
-
-def rank(query: BinaryCode, database: Codebook) -> np.ndarray:
-    """Database indices sorted by (Hamming distance, index)."""
-    if query.length != database.length:
-        raise ValueError(
-            f"query length {query.length} does not match database length "
-            f"{database.length}"
-        )
-    q_words = np.array([query.words], dtype=np.uint64)
-    dists = packed_hamming_matrix(q_words, database.word_matrix())[0]
-    return np.argsort(dists, kind="stable")
 
 
 def average_precision(relevance: Sequence[int] | np.ndarray, k: int | None = None) -> float:
@@ -83,36 +68,32 @@ def average_precision(relevance: Sequence[int] | np.ndarray, k: int | None = Non
     return float((precision * rel).sum() / hits)
 
 
-def min_interclass_distance(codes: Sequence[BinaryCode], labels: np.ndarray) -> int:
-    """Minimum Hamming distance over all pairs with different labels."""
+def _check_labels(words: np.ndarray, labels: np.ndarray, what: str = "") -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
-    codes = list(codes)
-    if len(codes) != len(labels):
-        raise ValueError("labels must match the codes")
-    if len(np.unique(labels)) < 2:
-        raise ValueError("need at least two classes")
-    words = word_matrix(codes)
-    dists = packed_hamming_matrix(words, words)
-    cross = labels[:, None] != labels[None, :]
-    return int(dists[cross].min())
+    if labels.shape != (len(words),):
+        raise ValueError(f"{what}labels must match the {what}codes")
+    return labels
 
 
-def class_center_codes(
-    codes: Sequence[BinaryCode], labels: np.ndarray
-) -> Codebook:
+def class_center_codes(words: np.ndarray, length: int, labels: np.ndarray) -> np.ndarray:
     """Per-class center codes: the majority symbol in each bit position.
 
+    Takes an (n, W) word matrix of length-``length`` codes and returns a
+    (C, W) word matrix whose row i is the center of the i-th smallest label.
     Ties between +1 and -1 go to +1, matching the sgn(0) = +1 binarization
     convention.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    codes = list(codes)
-    if len(codes) != len(labels):
-        raise ValueError("labels must match the codes")
-    classes = np.unique(labels)
-    signs = np.array([c.signs() for c in codes], dtype=np.float64)
-    centers = [from_signs(signs[labels == c].mean(axis=0)) for c in classes]
-    return Codebook(centers, class_ids=classes.tolist())
+    check_words(words, length)
+    labels = _check_labels(words, labels)
+    if len(words) == 0:
+        raise ValueError("center codes need at least one code")
+    order = np.argsort(labels, kind="stable")
+    _, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
+    byte_rows = np.ascontiguousarray(words[order], dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(byte_rows, axis=1, count=length, bitorder="little")
+    ones = np.add.reduceat(bits, starts, axis=0, dtype=np.int64)
+    # 2 * ones - count is the sum of the +-1 symbols; a tie (0) packs to +1
+    return pack_sign_rows(2 * ones - counts[:, None])
 
 
 @dataclass(frozen=True)
@@ -135,37 +116,32 @@ class EvalReport:
 
 
 def mean_average_precision(
-    query_codes: Sequence[BinaryCode],
+    query_words: np.ndarray,
     query_labels: np.ndarray,
-    database_codes: Sequence[BinaryCode],
+    database_words: np.ndarray,
     database_labels: np.ndarray,
-    k: int | None = None,
+    k: int | None,
+    length: int,
     include_per_query: bool = True,
 ) -> EvalReport:
     """Mean AP over queries with relevance = label equality.
 
-    Rankings use the deterministic (distance, index) order.  The report also
-    carries precision@k at cutoffs 1, 5, 10, 50, ... up to the database
-    size, and the center-distance diagnostic described on
-    :class:`EvalReport`.
+    Queries and database are (n, W) word matrices of length-``length``
+    codes.  Rankings use the deterministic (distance, index) order.  The
+    report also carries MAP@k when ``k`` is given, precision@k at cutoffs 1,
+    5, 10, 50, ... up to the database size, and the center-distance
+    diagnostic described on :class:`EvalReport`.
     """
-    query_codes = list(query_codes)
-    database_codes = list(database_codes)
-    query_labels = np.asarray(query_labels, dtype=np.int64)
-    database_labels = np.asarray(database_labels, dtype=np.int64)
-    if not query_codes or not database_codes:
+    check_words(query_words, length)
+    check_words(database_words, length)
+    query_labels = _check_labels(query_words, query_labels, "query ")
+    database_labels = _check_labels(database_words, database_labels, "database ")
+    if len(query_words) == 0 or len(database_words) == 0:
         raise ValueError("query and database must both be nonempty")
-    if len(query_codes) != len(query_labels):
-        raise ValueError("query labels must match the query codes")
-    if len(database_codes) != len(database_labels):
-        raise ValueError("database labels must match the database codes")
-    length = query_codes[0].length
-    if any(c.length != length for c in query_codes + database_codes):
-        raise ValueError("all codes must share one length")
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
 
-    dists = packed_hamming_matrix(word_matrix(query_codes), word_matrix(database_codes))
+    dists = packed_hamming_matrix(query_words, database_words)
     order = np.argsort(dists, axis=1, kind="stable")
     relevance = (database_labels[order] == query_labels[:, None]).astype(np.float64)
 
@@ -192,11 +168,8 @@ def mean_average_precision(
     target: int | None = None
     num_classes = len(np.unique(database_labels))
     if num_classes >= 2:
-        centers = class_center_codes(database_codes, database_labels)
-        words = centers.word_matrix()
-        center_dists = packed_hamming_matrix(words, words)
-        iu = np.triu_indices(len(centers), k=1)
-        min_dist = int(center_dists[iu].min())
+        centers = class_center_codes(database_words, length, database_labels)
+        min_dist = codebook_min_distance(centers)
         target = solve_target_distance(BoundProblem(length, num_classes))
 
     return EvalReport(

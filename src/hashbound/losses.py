@@ -27,7 +27,6 @@ __all__ = [
     "LossReport",
     "ClassCenters",
     "pairs_from_labels",
-    "relaxed_inner_product",
     "pairwise_loss",
     "quantization_loss",
     "total_loss",
@@ -99,15 +98,6 @@ def pairs_from_labels(labels: np.ndarray) -> PairBatch:
         raise ValueError("need at least two samples to form pairs")
     first, second = np.triu_indices(n, k=1)
     return PairBatch(first=first, second=second, similar=labels[first] == labels[second])
-
-
-def relaxed_inner_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot product of two relaxed code vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("expected two equal-length vectors")
-    return float(np.dot(a, b))
 
 
 def pairwise_loss(

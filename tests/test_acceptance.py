@@ -159,7 +159,7 @@ def random_codebook(rng, bits: int, classes: int, min_distance: int = 1) -> Code
 def codebook_min_distance_safe(book: Codebook) -> int:
     from hashbound.codes import codebook_min_distance
 
-    return codebook_min_distance(book)
+    return codebook_min_distance(book.word_matrix())
 
 
 def test_criterion_04_decode_within_radius():

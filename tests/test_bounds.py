@@ -266,7 +266,7 @@ def test_bound_necessity_on_random_codebooks():
         while len(seen) < classes:
             seen.add(tuple(rng.integers(0, 2, size=bits).tolist()))
         book = Codebook([from_bits(bits_) for bits_ in seen])
-        observed = codebook_min_distance(book)
+        observed = codebook_min_distance(book.word_matrix())
         problem = BoundProblem(bits, classes)
         target = solve_target_distance(problem)
         assert observed >= 1

@@ -249,6 +249,56 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "values,field",
+    [
+        ({"bits": 12, "classes": 10, "out": 5}, "out"),
+        ({"bits": 12.5, "classes": 10}, "bits"),
+        ({"bits": True, "classes": 10}, "bits"),
+        ({"bits": "12", "classes": 10}, "bits"),
+        ({"bits": 12, "classes": [10]}, "classes"),
+        ({"bits": 12, "classes": 10, "command": "train"}, "command"),
+    ],
+)
+def test_config_file_wrong_value_type(tmp_path, capsys, values, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    assert main(["bound", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert repr(field) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"epochs": None},
+        {"classwise": 1},
+        {"lr": "0.1"},
+        {"margin_override": -6.0},
+    ],
+)
+def test_config_file_wrong_train_value_type(tmp_path, capsys, values):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    code = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    assert repr(next(iter(values))) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_typed_values_accepted(tmp_path):
+    # an integer for a float flag, a bool for a switch, null for an unset flag
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "lr": 1, "classwise": True, "margin_override": None, "k": None,
+        "out_dir": str(tmp_path / "run"),
+    }))
+    assert main(["train", "--config", str(config), *FAST_TRAIN]) == 0
+    checkpoint = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+    assert checkpoint["config"]["classwise"] is True
+    assert checkpoint["config"]["learning_rate"] == 1
+
+
 def test_config_file_invalid_json(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text("{not json")

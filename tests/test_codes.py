@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hashbound.codes import (
     BinaryCode,
     Codebook,
+    check_words,
     codebook_min_distance,
     codes_from_word_rows,
     correction_radius,
@@ -172,6 +173,40 @@ def test_packed_matrix_kernel_matches_pairwise_path():
                 assert matrix[i, j] == hamming_distance(a, b)
 
 
+@pytest.mark.parametrize("length", [1, 12, 64, 65, 130])
+def test_packed_hamming_matrix_matches_scalar_oracle(length):
+    # duplicate rows on both sides give zero distances and tied rows
+    rng = np.random.default_rng(length)
+    codes_a = [random_code(rng, length) for _ in range(6)]
+    codes_a += [codes_a[0], codes_a[3]]
+    codes_b = [random_code(rng, length) for _ in range(4)] + [codes_a[0], codes_a[0]]
+    matrix = packed_hamming_matrix(word_matrix(codes_a), word_matrix(codes_b))
+    assert matrix.dtype == np.int64
+    assert matrix.tolist() == [
+        [hamming_distance(a, b) for b in codes_b] for a in codes_a
+    ]
+
+
+def test_packed_hamming_matrix_validation():
+    narrow = word_matrix([from_bits([1] * 12)])
+    wide = word_matrix([from_bits([1] * 65)])
+    with pytest.raises(ValueError, match="widths differ"):
+        packed_hamming_matrix(narrow, wide)
+    with pytest.raises(ValueError, match="uint64"):
+        packed_hamming_matrix(narrow.astype(np.int64), narrow)
+    with pytest.raises(ValueError, match="uint64"):
+        packed_hamming_matrix(narrow[0], narrow)
+
+
+def test_check_words_width_against_length():
+    wide = word_matrix([from_bits([1] * 65)])
+    assert check_words(wide, 65) is wide
+    assert check_words(wide, 128) is wide
+    for bad_length in (64, 129, 0):
+        with pytest.raises(ValueError):
+            check_words(wide, bad_length)
+
+
 # --- codebooks ----------------------------------------------------------------
 
 def test_codebook_validation():
@@ -186,10 +221,12 @@ def test_codebook_validation():
 def test_codebook_min_distance_examples():
     a = from_bits([1] * 12)
     b = flip_bits(a, range(12))
-    assert codebook_min_distance(Codebook([a, b])) == 12
-    assert codebook_min_distance(Codebook([a, b, a])) == 0  # duplicate
-    with pytest.raises(ValueError):
-        codebook_min_distance(Codebook([a]))
+    assert codebook_min_distance(word_matrix([a, b])) == 12
+    assert codebook_min_distance(word_matrix([a, b, a])) == 0  # duplicate
+    with pytest.raises(ValueError, match="two codes"):
+        codebook_min_distance(word_matrix([a]))
+    with pytest.raises(ValueError, match="uint64"):
+        codebook_min_distance(word_matrix([a, b]).astype(np.int64))
 
 
 def test_codebook_min_distance_matches_pair_scan():
@@ -202,7 +239,7 @@ def test_codebook_min_distance_matches_pair_scan():
             for i in range(10)
             for j in range(i + 1, 10)
         )
-        assert codebook_min_distance(book) == oracle
+        assert codebook_min_distance(book.word_matrix()) == oracle
 
 
 def test_correction_radius():
@@ -254,7 +291,7 @@ def test_decode_within_radius_property():
                 seen.add(code.words)
                 codes.append(code)
         book = Codebook(codes)
-        radius = correction_radius(codebook_min_distance(book))
+        radius = correction_radius(codebook_min_distance(book.word_matrix()))
         for index, code in enumerate(codes):
             for _ in range(10):
                 flips = rng.choice(length, size=int(rng.integers(0, radius + 1)), replace=False)

@@ -23,7 +23,7 @@ from hashbound.encoder import (
     train,
     zeros_like_params,
 )
-from hashbound.codes import from_signs
+from hashbound.codes import codes_from_word_rows, from_signs
 from hashbound.losses import pairs_from_labels, total_loss
 
 
@@ -222,8 +222,9 @@ def test_encode_matches_scalar_binarization():
     params = init_params(5, 8, 12, seed=9)
     feats = rng.normal(size=(4, 5))
     relaxed = forward(params, feats)
-    codes = encode(params, feats)
-    assert codes == [from_signs(row) for row in relaxed]
+    words = encode(params, feats)
+    assert words.shape == (4, 1) and words.dtype == np.uint64
+    assert codes_from_word_rows(words, 12) == [from_signs(row) for row in relaxed]
 
 
 # --- checkpoints ---------------------------------------------------------------------

@@ -10,13 +10,18 @@ import numpy as np
 import pytest
 
 from hashbound.bounds import BoundProblem, bound_holds
-from hashbound.codes import Codebook, flip_bits, from_bits
+from hashbound.codes import (
+    codebook_min_distance,
+    codes_from_word_rows,
+    flip_bits,
+    from_bits,
+    hamming_distance,
+    word_matrix,
+)
 from hashbound.evaluation import (
     average_precision,
     class_center_codes,
     mean_average_precision,
-    min_interclass_distance,
-    rank,
 )
 
 
@@ -60,41 +65,74 @@ def random_code(rng, length):
     return from_bits(rng.integers(0, 2, size=length))
 
 
-# --- ranking -----------------------------------------------------------------
+def report_for(queries, query_labels, db, db_labels, k=None):
+    """mean_average_precision on lists of BinaryCode, packed to word matrices."""
+    return mean_average_precision(
+        word_matrix(queries), np.asarray(query_labels), word_matrix(db),
+        np.asarray(db_labels), k, db[0].length,
+    )
+
+
+def ranked_order(query, db):
+    """The ranking of ``db`` for ``query``, read back from per-query AP.
+
+    With only database row j relevant, AP = 1 / (rank of j), so one
+    single-relevant MAP call per row recovers the full order.
+    """
+    positions = [
+        round(1.0 / report_for([query], [1], db, np.arange(len(db)) == j).map)
+        for j in range(len(db))
+    ]
+    return np.argsort(positions).tolist()
+
+
+def majority_center_oracle(codes, labels):
+    """Bit-by-bit majority vote per sorted label; a tie goes to +1."""
+    centers = []
+    for c in sorted(set(labels.tolist())):
+        members = [code for code, label in zip(codes, labels) if label == c]
+        bits = []
+        for i in range(codes[0].length):
+            ones = sum(code.bit(i) for code in members)
+            bits.append(1 if 2 * ones >= len(members) else 0)
+        centers.append(from_bits(bits))
+    return centers
+
+
+# --- ranking (the order inside mean_average_precision) -------------------------
 
 def test_rank_puts_exact_match_first():
     rng = np.random.default_rng(0)
     codes = [random_code(rng, 16) for _ in range(12)]
-    book = Codebook(codes)
-    assert rank(codes[7], book)[0] == 7
+    assert ranked_order(codes[7], codes)[0] == 7
 
 
 def test_rank_breaks_ties_by_index():
     base = from_bits([1] * 8)
     near_a = flip_bits(base, [0])
     near_b = flip_bits(base, [5])
-    book = Codebook([near_b, near_a, base])
-    order = rank(base, book)
-    assert order.tolist() == [2, 0, 1]  # distance 0, then the two distance-1 ties
+    order = ranked_order(base, [near_b, near_a, base])
+    assert order == [2, 0, 1]  # distance 0, then the two distance-1 ties
 
 
 def test_rank_matches_sort_oracle():
-    from hashbound.codes import hamming_distance
-
     rng = np.random.default_rng(1)
     for _ in range(20):
-        codes = [random_code(rng, 24) for _ in range(30)]
-        book = Codebook(codes)
-        query = random_code(rng, 24)
+        codes = [random_code(rng, 6) for _ in range(30)]  # short codes: many ties
+        query = random_code(rng, 6)
         expected = sorted(
             range(30), key=lambda i: (hamming_distance(query, codes[i]), i)
         )
-        assert rank(query, book).tolist() == expected
+        assert ranked_order(query, codes) == expected
 
 
 def test_rank_length_mismatch():
-    with pytest.raises(ValueError):
-        rank(from_bits([1, 0]), Codebook([from_bits([1, 0, 1])]))
+    short = word_matrix([from_bits([1, 0])])
+    wide = word_matrix([from_bits([1] * 65)])
+    with pytest.raises(ValueError, match="words per row"):
+        mean_average_precision(short, [0], wide, [0], None, 2)
+    with pytest.raises(ValueError, match="words per row"):
+        mean_average_precision(wide, [0], wide, [0], None, 64)
 
 
 # --- average precision ------------------------------------------------------------
@@ -136,7 +174,7 @@ def test_map_self_retrieval_unique_labels():
     rng = np.random.default_rng(4)
     codes = [random_code(rng, 16) for _ in range(8)]
     labels = np.arange(8)
-    report = mean_average_precision(codes, labels, codes, labels)
+    report = report_for(codes, labels, codes, labels)
     assert report.map == 1.0
     assert report.per_query_ap == [1.0] * 8
 
@@ -150,7 +188,7 @@ def test_map_two_query_hand_example():
     db_labels = np.array([0, 1, 0])
     queries = [base, base]
     query_labels = np.array([0, 1])
-    report = mean_average_precision(queries, query_labels, db, db_labels)
+    report = report_for(queries, query_labels, db, db_labels)
     expected = (float(oracle_ap([1, 0, 1])) + float(oracle_ap([0, 1, 0]))) / 2
     assert expected == pytest.approx(2 / 3, abs=1e-15)
     assert report.map == pytest.approx(expected, abs=1e-12)
@@ -171,7 +209,7 @@ def test_map_random_labels_approaches_class_prior():
     db_labels = (rng.random(n_db) < p).astype(np.int64)
     queries = [random_code(rng, 32) for _ in range(40)]
     query_labels = np.ones(40, dtype=np.int64)
-    report = mean_average_precision(queries, query_labels, db, db_labels)
+    report = report_for(queries, query_labels, db, db_labels)
     assert report.map == pytest.approx(p, abs=0.02)
 
 
@@ -179,11 +217,11 @@ def test_map_at_k_recorded():
     rng = np.random.default_rng(6)
     codes = [random_code(rng, 16) for _ in range(20)]
     labels = rng.integers(0, 3, size=20)
-    report = mean_average_precision(codes, labels, codes, labels, k=5)
+    report = report_for(codes, labels, codes, labels, k=5)
     assert report.k == 5
     assert report.map_at_k is not None
     assert 0.0 <= report.map_at_k <= 1.0
-    no_cutoff = mean_average_precision(codes, labels, codes, labels)
+    no_cutoff = report_for(codes, labels, codes, labels)
     assert no_cutoff.k is None and no_cutoff.map_at_k is None
 
 
@@ -192,13 +230,11 @@ def test_map_permutation_invariant_without_ties():
     base = from_bits([1] * 16)
     db = [flip_bits(base, range(d)) for d in range(8)]  # distances 0..7
     labels = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-    report = mean_average_precision([base], np.array([0]), db, labels)
+    report = report_for([base], np.array([0]), db, labels)
     rng = np.random.default_rng(7)
     for _ in range(10):
         perm = rng.permutation(8)
-        shuffled = mean_average_precision(
-            [base], np.array([0]), [db[i] for i in perm], labels[perm]
-        )
+        shuffled = report_for([base], np.array([0]), [db[i] for i in perm], labels[perm])
         assert shuffled.map == report.map
 
 
@@ -207,19 +243,27 @@ def test_map_bounds_and_curve():
     db = [random_code(rng, 16) for _ in range(120)]
     db_labels = rng.integers(0, 4, size=120)
     queries = [random_code(rng, 16) for _ in range(9)]
-    report = mean_average_precision(queries, rng.integers(0, 4, size=9), db, db_labels)
+    report = report_for(queries, rng.integers(0, 4, size=9), db, db_labels)
     assert 0.0 <= report.map <= 1.0
     assert [k for k, _ in report.precision_curve] == [1, 5, 10, 50, 100]
     assert all(0.0 <= v <= 1.0 for _, v in report.precision_curve)
 
 
 def test_map_validation():
-    code = from_bits([1, 0])
-    with pytest.raises(ValueError):
-        mean_average_precision([], np.array([]), [code], np.array([0]))
-    with pytest.raises(ValueError):
-        mean_average_precision([code], np.array([0]), [from_bits([1, 0, 1])],
-                               np.array([0]))
+    words = word_matrix([from_bits([1, 0])])
+    empty = np.zeros((0, 1), dtype=np.uint64)
+    with pytest.raises(ValueError, match="nonempty"):
+        mean_average_precision(empty, np.array([]), words, np.array([0]), None, 2)
+    with pytest.raises(ValueError, match="query labels"):
+        mean_average_precision(words, np.array([0, 1]), words, np.array([0]), None, 2)
+    with pytest.raises(ValueError, match="database labels"):
+        mean_average_precision(words, np.array([0]), words, np.array([]), None, 2)
+    with pytest.raises(ValueError, match="k must be"):
+        mean_average_precision(words, np.array([0]), words, np.array([0]), 0, 2)
+    with pytest.raises(ValueError, match="uint64"):
+        mean_average_precision(words.astype(np.int64), [0], words, [0], None, 2)
+    with pytest.raises(ValueError, match="uint64"):
+        mean_average_precision(words[0], [0], words, [0], None, 2)
 
 
 # --- interclass diagnostics -----------------------------------------------------------
@@ -227,32 +271,39 @@ def test_map_validation():
 def test_min_interclass_distance_antipodal():
     a = from_bits([1] * 12)
     b = flip_bits(a, range(12))
-    assert min_interclass_distance([a, b], np.array([0, 1])) == 12
+    report = report_for([a], [0], [a, b], [0, 1])
+    assert report.min_interclass_distance == 12
 
 
 def test_min_interclass_distance_shared_code_is_zero():
     a = from_bits([1, 0, 1, 0])
-    assert min_interclass_distance([a, a], np.array([0, 1])) == 0
+    assert report_for([a], [0], [a, a], [0, 1]).min_interclass_distance == 0
 
 
 def test_min_interclass_distance_matches_scan():
-    from hashbound.codes import hamming_distance
-
     rng = np.random.default_rng(9)
-    codes = [random_code(rng, 16) for _ in range(25)]
-    labels = rng.integers(0, 3, size=25)
-    oracle = min(
-        hamming_distance(codes[i], codes[j])
-        for i in range(25)
-        for j in range(25)
-        if i != j and labels[i] != labels[j]
-    )
-    assert min_interclass_distance(codes, labels) == oracle
+    for _ in range(10):
+        codes = [random_code(rng, 16) for _ in range(25)]
+        labels = rng.integers(0, 4, size=25)
+        centers = majority_center_oracle(codes, labels)
+        oracle = min(
+            hamming_distance(centers[i], centers[j])
+            for i in range(len(centers))
+            for j in range(i + 1, len(centers))
+        )
+        report = report_for(codes[:3], labels[:3], codes, labels)
+        assert report.min_interclass_distance == oracle
+        center_words = class_center_codes(word_matrix(codes), 16, labels)
+        assert codebook_min_distance(center_words) == oracle
 
 
 def test_min_interclass_distance_single_class_error():
-    with pytest.raises(ValueError):
-        min_interclass_distance([from_bits([1]), from_bits([0])], np.array([0, 0]))
+    codes = [from_bits([1]), from_bits([0])]
+    report = report_for(codes, [0, 0], codes, [0, 0])
+    assert report.min_interclass_distance is None
+    assert report.target_distance is None
+    with pytest.raises(ValueError, match="two codes"):
+        codebook_min_distance(class_center_codes(word_matrix(codes), 1, np.array([0, 0])))
 
 
 def test_class_center_codes_majority_vote():
@@ -262,16 +313,43 @@ def test_class_center_codes_majority_vote():
         from_bits([1, 1, 1, 0]),  # class 0: majority (1, 1, 0, 0)
         from_bits([0, 0, 1, 1]),  # class 1: itself
     ]
-    centers = class_center_codes(codes, np.array([0, 0, 0, 1]))
-    assert centers.codes[0].bits().tolist() == [1, 1, 0, 0]
-    assert centers.codes[1].bits().tolist() == [0, 0, 1, 1]
-    assert centers.class_ids == (0, 1)
+    centers = class_center_codes(word_matrix(codes), 4, np.array([0, 0, 0, 1]))
+    assert [c.bits().tolist() for c in codes_from_word_rows(centers, 4)] == [
+        [1, 1, 0, 0],
+        [0, 0, 1, 1],
+    ]
 
 
 def test_class_center_tie_goes_positive():
     codes = [from_bits([1, 0]), from_bits([0, 1])]
-    centers = class_center_codes(codes, np.array([0, 0]))
-    assert centers.codes[0].bits().tolist() == [1, 1]
+    centers = class_center_codes(word_matrix(codes), 2, np.array([0, 0]))
+    assert codes_from_word_rows(centers, 2)[0].bits().tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("length", [1, 12, 64, 65, 130])
+def test_class_center_codes_match_majority_oracle(length):
+    # even and odd class sizes, so exact +-1 ties occur; labels are
+    # non-contiguous and unsorted, so rows follow the sorted label order
+    rng = np.random.default_rng(length)
+    for _ in range(5):
+        sizes = rng.integers(1, 7, size=4)
+        label_values = np.array([-3, 2, 9, 40])
+        labels = rng.permutation(np.repeat(label_values, sizes))
+        codes = [random_code(rng, length) for _ in range(len(labels))]
+        expected = majority_center_oracle(codes, labels)
+        centers = class_center_codes(word_matrix(codes), length, labels)
+        assert centers.shape == (4, (length + 63) // 64)
+        assert codes_from_word_rows(centers, length) == expected
+
+
+def test_class_center_codes_validation():
+    words = word_matrix([from_bits([1, 0]), from_bits([0, 1])])
+    with pytest.raises(ValueError, match="labels must match"):
+        class_center_codes(words, 2, np.array([0]))
+    with pytest.raises(ValueError, match="words per row"):
+        class_center_codes(words, 65, np.array([0, 1]))
+    with pytest.raises(ValueError, match="at least one"):
+        class_center_codes(words[:0], 2, np.array([], dtype=np.int64))
 
 
 def test_report_diagnostics_respect_bound():
@@ -290,9 +368,7 @@ def test_report_diagnostics_respect_bound():
         for _ in range(20):
             db.append(flip_bits(code, rng.choice(length, size=1)))
             db_labels.append(c)
-    report = mean_average_precision(
-        [class_codes[0]], np.array([0]), db, np.array(db_labels)
-    )
+    report = report_for([class_codes[0]], np.array([0]), db, np.array(db_labels))
     assert report.min_interclass_distance is not None
     assert report.target_distance is not None
     problem = BoundProblem(length, classes)

@@ -22,7 +22,6 @@ from hashbound.losses import (
     pairs_from_labels,
     pairwise_loss,
     quantization_loss,
-    relaxed_inner_product,
     total_loss,
     update_centers,
 )
@@ -80,19 +79,6 @@ def test_pair_batch_validation():
         PairBatch(first=np.array([]), second=np.array([]), similar=np.array([]))
     with pytest.raises(ValueError):
         pairs_from_labels(np.array([1]))
-
-
-def test_relaxed_inner_product():
-    ones = np.ones(12)
-    assert relaxed_inner_product(ones, ones) == pytest.approx(12.0)
-    assert relaxed_inner_product(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 0.0
-    rng = np.random.default_rng(0)
-    a, b = rng.normal(size=50), rng.normal(size=50)
-    assert relaxed_inner_product(a, b) == pytest.approx(
-        sum(float(x) * float(y) for x, y in zip(a, b)), rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        relaxed_inner_product(np.ones(3), np.ones(4))
 
 
 # --- pairwise loss ------------------------------------------------------------
