@@ -64,10 +64,7 @@ from .evaluation import (
 from .losses import (
     ClassCenters,
     LossReport,
-    PairBatch,
     classwise_loss,
-    classwise_total_loss,
-    pairs_from_labels,
     pairwise_loss,
     quantization_loss,
     total_loss,

@@ -14,6 +14,7 @@ epoch shuffling both draw from the package's xorshift64* streams.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -23,13 +24,7 @@ from .bounds import BoundProblem, MarginSet, derive_margins, margins_from_negati
 from .codes import pack_sign_rows
 from .data import DatasetSplits
 from .evaluation import mean_average_precision
-from .losses import (
-    ClassCenters,
-    classwise_total_loss,
-    pairs_from_labels,
-    total_loss,
-    update_centers,
-)
+from .losses import ClassCenters, total_loss, update_centers
 from .prng import Xorshift64Star
 
 __all__ = [
@@ -212,12 +207,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.code_bits < 1 or self.hidden_dim < 1:
             raise ValueError("code_bits and hidden_dim must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if self.quant_weight < 0:
-            raise ValueError("quant_weight must be >= 0")
+        if not (math.isfinite(self.quant_weight) and self.quant_weight >= 0):
+            raise ValueError("quant_weight must be finite and >= 0")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.epochs < 1:
@@ -316,14 +311,9 @@ def train(
                 labels = train_labels[rows]
                 relaxed = forward(params, feats)
                 check_finite(relaxed, epoch)
-                if config.classwise:
-                    report = classwise_total_loss(
-                        relaxed, labels, centers, margins, config.quant_weight
-                    )
-                else:
-                    report = total_loss(
-                        relaxed, pairs_from_labels(labels), margins, config.quant_weight
-                    )
+                report = total_loss(
+                    relaxed, labels, margins, config.quant_weight, centers
+                )
                 check_finite(report.total, epoch)
                 grads = backward(params, feats, report.code_grads)
                 params, velocity = sgd_step(
@@ -404,7 +394,11 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict[str, Any]]:
     with open(path) as fh:
         doc = json.load(fh)
     try:
+        if not isinstance(doc, dict):
+            raise TypeError("expected a JSON object")
         d, h, l = doc["input_dim"], doc["hidden_dim"], doc["code_bits"]
+        if not all(type(v) is int and v >= 1 for v in (d, h, l)):
+            raise ValueError("dimensions must be integers >= 1")
         shapes = {
             "hidden_weights": (h, d),
             "hidden_bias": (h,),
@@ -415,7 +409,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict[str, Any]]:
             key: np.array(doc[key], dtype=np.float64).reshape(shapes[key])
             for key in _CHECKPOINT_KEYS
         }
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc
     for key, arr in arrays.items():
         if not np.all(np.isfinite(arr)):

@@ -2,11 +2,14 @@
 
 Relaxed codes are plain float64 arrays: a batch is an (n, L) matrix whose
 rows are the pre-binarization encoder outputs.  The pairwise loss compares
-row inner products against the margins from :mod:`hashbound.bounds`:
+the inner products of the pairs i < j within the batch (similar iff their
+labels match) against the margins from :mod:`hashbound.bounds`:
 
     (1/|P|) sum_{(i,j) similar}   min(0, u_i.u_j - positive_margin)**2 / positive_margin**2
   + (1/|N|) sum_{(i,j) dissimilar} max(0, u_i.u_j - negative_margin)**2 / negative_margin**2
 
+It is computed in Gram form, from the masked upper triangle of U @ U.T.  The
+class-center variant applies the same hinge to code-center inner products.
 The quantization term sum_n ||sgn(u_n) - u_n||**2 penalizes distance to the
 binarization; its gradient treats sgn(u_n) as a constant.  All values and
 gradients are accumulated in float64.
@@ -23,15 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PairBatch",
     "LossReport",
     "ClassCenters",
-    "pairs_from_labels",
     "pairwise_loss",
     "quantization_loss",
     "total_loss",
     "classwise_loss",
-    "classwise_total_loss",
     "update_centers",
 ]
 
@@ -48,95 +48,68 @@ def _as_code_batch(codes: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _hinge_denominator(margin: float) -> float:
-    """margin**2, except a unit denominator when the margin is exactly 0."""
+def _as_batch_labels(
+    labels: np.ndarray, codes: np.ndarray, num_classes: int | None = None
+) -> np.ndarray:
+    """One label per code row; int64 class indices below ``num_classes`` if given."""
+    labels = np.asarray(labels, dtype=None if num_classes is None else np.int64)
+    if labels.shape != (codes.shape[0],):
+        raise ValueError("labels must match the code batch")
+    if num_classes is not None and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError("label outside the known class range")
+    return labels
+
+
+def _hinge(
+    theta: np.ndarray, similar: np.ndarray, dissimilar: np.ndarray, margins
+) -> tuple[float, np.ndarray]:
+    """Both margin hinge terms over the masked entries of ``theta``.
+
+    Similar entries pay min(0, theta - positive_margin)**2, dissimilar ones
+    max(0, theta - negative_margin)**2.  Each kind is divided by its entry
+    count times its squared margin (a unit denominator for a margin of 0);
+    a kind with no entries contributes 0.  Returns ``(value, dtheta)``.
+    """
     global _warned_zero_negative
-    if margin == 0:
-        if not _warned_zero_negative:
+    loss = 0.0
+    dtheta = np.zeros_like(theta)
+    for mask, margin, clip in (
+        (similar, float(margins.positive_margin), np.minimum),
+        (dissimilar, float(margins.negative_margin), np.maximum),
+    ):
+        count = int(mask.sum())
+        if not count:
+            continue
+        if margin == 0 and not _warned_zero_negative:
             logger.warning(
                 "negative margin is 0; using a unit denominator to keep the "
                 "loss finite (hinge location unchanged)"
             )
             _warned_zero_negative = True
-        return 1.0
-    return float(margin) ** 2
-
-
-@dataclass(frozen=True)
-class PairBatch:
-    """Index pairs over a code batch with a similar/dissimilar flag each."""
-
-    first: np.ndarray
-    second: np.ndarray
-    similar: np.ndarray
-
-    def __post_init__(self) -> None:
-        first = np.asarray(self.first, dtype=np.int64)
-        second = np.asarray(self.second, dtype=np.int64)
-        similar = np.asarray(self.similar, dtype=bool)
-        if not (len(first) == len(second) == len(similar)):
-            raise ValueError("pair arrays must have equal length")
-        if len(first) == 0:
-            raise ValueError("a pair batch needs at least one pair")
-        if np.any(first == second):
-            raise ValueError("pairs may not relate a code to itself")
-        if np.any(first < 0) or np.any(second < 0):
-            raise ValueError("pair indices must be nonnegative")
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
-        object.__setattr__(self, "similar", similar)
-
-    def __len__(self) -> int:
-        return len(self.first)
-
-
-def pairs_from_labels(labels: np.ndarray) -> PairBatch:
-    """All unordered within-batch pairs; similar iff the labels match."""
-    labels = np.asarray(labels)
-    n = len(labels)
-    if n < 2:
-        raise ValueError("need at least two samples to form pairs")
-    first, second = np.triu_indices(n, k=1)
-    return PairBatch(first=first, second=second, similar=labels[first] == labels[second])
+        hinge = clip(0.0, theta - margin) * mask
+        scale = count * (margin**2 if margin != 0 else 1.0)
+        loss += float((hinge**2).sum()) / scale
+        dtheta += 2.0 * hinge / scale
+    return loss, dtheta
 
 
 def pairwise_loss(
-    codes: np.ndarray, batch: PairBatch, margins
+    codes: np.ndarray, labels: np.ndarray, margins
 ) -> tuple[float, np.ndarray]:
-    """Margin hinge loss over labeled pairs and its gradient wrt the codes.
+    """Margin hinge loss over all pairs i < j of the batch, with its gradient.
 
-    Each hinge term is normalized by the count of pairs of its kind; a kind
-    with no pairs in the batch contributes 0.  Returns ``(value, grads)``
-    with ``grads`` shaped like ``codes``.
+    A pair is similar iff its labels match.  Returns ``(value, grads)`` with
+    ``grads`` shaped like ``codes``.
     """
     codes = _as_code_batch(codes)
+    labels = _as_batch_labels(labels, codes)
     n = codes.shape[0]
-    if int(batch.first.max()) >= n or int(batch.second.max()) >= n:
-        raise ValueError("pair indices exceed the code batch")
-
-    pos = float(margins.positive_margin)
-    neg = float(margins.negative_margin)
-    theta = np.einsum("ij,ij->i", codes[batch.first], codes[batch.second])
-
-    num_pos = int(batch.similar.sum())
-    num_neg = len(batch) - num_pos
-    loss = 0.0
-    dtheta = np.zeros(len(batch))
-    if num_pos:
-        hinge = np.minimum(0.0, theta - pos) * batch.similar
-        scale = num_pos * _hinge_denominator(pos)
-        loss += float((hinge**2).sum()) / scale
-        dtheta += 2.0 * hinge / scale
-    if num_neg:
-        hinge = np.maximum(0.0, theta - neg) * ~batch.similar
-        scale = num_neg * _hinge_denominator(neg)
-        loss += float((hinge**2).sum()) / scale
-        dtheta += 2.0 * hinge / scale
-
-    grads = np.zeros_like(codes)
-    np.add.at(grads, batch.first, dtheta[:, None] * codes[batch.second])
-    np.add.at(grads, batch.second, dtheta[:, None] * codes[batch.first])
-    return loss, grads
+    if n < 2:
+        raise ValueError("need at least two samples to form pairs")
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    same = labels[:, None] == labels[None, :]
+    loss, dtheta = _hinge(codes @ codes.T, upper & same, upper & ~same, margins)
+    return loss, (dtheta + dtheta.T) @ codes
 
 
 def quantization_loss(codes: np.ndarray) -> tuple[float, np.ndarray]:
@@ -167,23 +140,6 @@ class LossReport:
         expected = self.pairwise + self.quant_weight * self.quantization
         if not np.isclose(self.total, expected, equal_nan=True):
             raise ValueError("total must equal pairwise + quant_weight * quantization")
-
-
-def total_loss(
-    codes: np.ndarray, batch: PairBatch, margins, quant_weight: float
-) -> LossReport:
-    """Pairwise hinge plus weighted quantization penalty, with gradients."""
-    if quant_weight < 0:
-        raise ValueError("quant_weight must be >= 0")
-    pair_value, pair_grads = pairwise_loss(codes, batch, margins)
-    quan_value, quan_grads = quantization_loss(codes)
-    return LossReport(
-        pairwise=pair_value,
-        quantization=quan_value,
-        total=pair_value + quant_weight * quan_value,
-        code_grads=pair_grads + quant_weight * quan_grads,
-        quant_weight=quant_weight,
-    )
 
 
 @dataclass(frozen=True)
@@ -233,54 +189,35 @@ def classwise_loss(
     flow to the sample codes only.
     """
     codes = _as_code_batch(codes)
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) != codes.shape[0]:
-        raise ValueError("labels must match the code batch")
-    if labels.min() < 0 or labels.max() >= centers.num_classes:
-        raise ValueError("label outside the known class range")
+    labels = _as_batch_labels(labels, codes, centers.num_classes)
     if np.any(centers.counts[np.unique(labels)] == 0):
         raise ValueError("every class in the batch needs an initialized center")
 
-    pos = float(margins.positive_margin)
-    neg = float(margins.negative_margin)
-    n, num_classes = codes.shape[0], centers.num_classes
-    theta = codes @ centers.values.T  # (n, num_classes)
-    own = np.zeros((n, num_classes), dtype=bool)
-    own[np.arange(n), labels] = True
+    own = labels[:, None] == np.arange(centers.num_classes)
     # classes that never received an update have meaningless center values
-    negative_mask = ~own & (centers.counts > 0)[None, :]
-
-    loss = 0.0
-    dtheta = np.zeros_like(theta)
-
-    num_pos = n
-    pos_hinge = np.minimum(0.0, theta - pos) * own
-    pos_scale = num_pos * _hinge_denominator(pos)
-    loss += float((pos_hinge**2).sum()) / pos_scale
-    dtheta += 2.0 * pos_hinge / pos_scale
-
-    num_neg = int(negative_mask.sum())
-    if num_neg:
-        neg_hinge = np.maximum(0.0, theta - neg) * negative_mask
-        neg_scale = num_neg * _hinge_denominator(neg)
-        loss += float((neg_hinge**2).sum()) / neg_scale
-        dtheta += 2.0 * neg_hinge / neg_scale
-
-    grads = dtheta @ centers.values
-    return loss, grads
+    initialized = centers.counts > 0
+    loss, dtheta = _hinge(codes @ centers.values.T, own, ~own & initialized, margins)
+    return loss, dtheta @ centers.values
 
 
-def classwise_total_loss(
+def total_loss(
     codes: np.ndarray,
     labels: np.ndarray,
-    centers: ClassCenters,
     margins,
     quant_weight: float,
+    centers: ClassCenters | None = None,
 ) -> LossReport:
-    """Class-center hinge plus weighted quantization penalty."""
+    """Hinge loss plus weighted quantization penalty, with gradients.
+
+    The hinge is the pairwise loss, or the class-center loss when
+    ``centers`` is given.
+    """
     if quant_weight < 0:
         raise ValueError("quant_weight must be >= 0")
-    pair_value, pair_grads = classwise_loss(codes, labels, centers, margins)
+    if centers is None:
+        pair_value, pair_grads = pairwise_loss(codes, labels, margins)
+    else:
+        pair_value, pair_grads = classwise_loss(codes, labels, centers, margins)
     quan_value, quan_grads = quantization_loss(codes)
     return LossReport(
         pairwise=pair_value,
@@ -300,11 +237,7 @@ def update_centers(
     class's first update sets its center to the batch mean outright.
     """
     codes = _as_code_batch(codes)
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) != codes.shape[0]:
-        raise ValueError("labels must match the code batch")
-    if labels.min() < 0 or labels.max() >= centers.num_classes:
-        raise ValueError("label outside the known class range")
+    labels = _as_batch_labels(labels, codes, centers.num_classes)
 
     values = centers.values.copy()
     counts = centers.counts.copy()

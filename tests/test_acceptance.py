@@ -30,7 +30,7 @@ from hashbound.codes import (
 )
 from hashbound.encoder import TrainConfig, train
 from hashbound.evaluation import average_precision
-from hashbound.losses import classwise_total_loss, pairs_from_labels, total_loss
+from hashbound.losses import total_loss
 
 BENCH_ARGS = [
     "--classes", "10", "--per-class", "100", "--dim", "32",
@@ -248,11 +248,11 @@ def test_criterion_05_gradient_checks():
                 counts=np.ones(classes, dtype=np.int64),
             )
             codes = sample_away_from_kinks(rng, n, bits, margins, centers.values)
-            value_fn = lambda u: classwise_total_loss(
-                u, labels, centers, margins, quant_weight
+            value_fn = lambda u: total_loss(
+                u, labels, margins, quant_weight, centers
             ).total
-            analytic = classwise_total_loss(
-                codes, labels, centers, margins, quant_weight
+            analytic = total_loss(
+                codes, labels, margins, quant_weight, centers
             ).code_grads
         else:
             for _ in range(500):
@@ -266,9 +266,8 @@ def test_criterion_05_gradient_checks():
                     break
             else:
                 raise AssertionError("could not sample a kink-free instance")
-            batch = pairs_from_labels(labels)
-            value_fn = lambda u: total_loss(u, batch, margins, quant_weight).total
-            analytic = total_loss(codes, batch, margins, quant_weight).code_grads
+            value_fn = lambda u: total_loss(u, labels, margins, quant_weight).total
+            analytic = total_loss(codes, labels, margins, quant_weight).code_grads
 
         numeric = finite_difference(value_fn, codes)
         err = relative_error(analytic, numeric)

@@ -1,6 +1,10 @@
 """CLI contracts: subcommands, exit codes, config files, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,14 @@ FAST_TRAIN = [
     *FAST_DATA,
     "--bits", "8", "--epochs", "3", "--batch-size", "16",
 ]
+
+
+_SUBPROCESS_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    ),
+}
 
 
 def run_train(out_dir, extra=()):
@@ -164,6 +176,24 @@ def test_eval_corrupted_checkpoint(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    {"input_dim": "a", "hidden_dim": 2, "code_bits": 1, "hidden_weights": [0, 0],
+     "hidden_bias": [0, 0], "output_weights": [0, 0], "output_bias": [0]},
+], ids=["list", "string-dim"])
+def test_eval_malformed_checkpoint_is_usage_error(tmp_path, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-c", "from hashbound.cli import entry_point; entry_point()",
+         "eval", "--checkpoint", str(bad), "--out-dir", str(tmp_path / "out"), *FAST_DATA],
+        capture_output=True, text=True, env=_SUBPROCESS_ENV,
+    )
+    assert result.returncode == 1
+    assert "malformed checkpoint" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_eval_dimension_mismatch(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert run_train(out_dir) == 0
@@ -212,6 +242,26 @@ def test_sweep_records_failures_and_continues(tmp_path, capsys):
     assert status["0.002"] == "ok"
     assert status["1000000000000.0"] == "failed"
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--quant-weight", "inf"]],
+                         ids=["lr-nan", "quant-weight-inf"])
+def test_train_rejects_non_finite_hyperparameters(tmp_path, capsys, flags):
+    out_dir = tmp_path / "never"
+    assert run_train(out_dir, flags) == 1
+    assert not out_dir.exists()
+    assert "finite" in capsys.readouterr().err
+
+
+def test_sweep_rejects_non_finite_weight_before_training(tmp_path, capsys):
+    sweep_csv = tmp_path / "lambda.csv"
+    code = main(["sweep", "--quant-weights", "nan,0.1", "--out", str(sweep_csv),
+                 *FAST_TRAIN])
+    assert code == 1
+    assert not sweep_csv.exists()
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "MAP" not in captured.out
 
 
 def test_sweep_requires_exactly_one_axis(tmp_path, capsys):

@@ -24,7 +24,7 @@ from hashbound.encoder import (
     zeros_like_params,
 )
 from hashbound.codes import codes_from_word_rows, from_signs
-from hashbound.losses import pairs_from_labels, total_loss
+from hashbound.losses import total_loss
 
 
 def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
@@ -145,12 +145,11 @@ def test_backward_matches_finite_differences_through_loss():
     features = rng.normal(size=(6, 3)) * 2.0
     labels = rng.integers(0, 2, size=6)
     margins = derive_margins(BoundProblem(4, 2))
-    batch = pairs_from_labels(labels)
 
     def loss_of(p: EncoderParams) -> float:
-        return total_loss(forward(p, features), batch, margins, 0.002).total
+        return total_loss(forward(p, features), labels, margins, 0.002).total
 
-    report = total_loss(forward(params, features), batch, margins, 0.002)
+    report = total_loss(forward(params, features), labels, margins, 0.002)
     analytic = backward(params, features, report.code_grads)
 
     step = 1e-5
@@ -243,9 +242,20 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
 
 def test_checkpoint_rejects_malformed(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text('{"input_dim": 3, "hidden_dim": 2}')
-    with pytest.raises(ValueError, match="malformed"):
-        load_checkpoint(path)
+    for text in (
+        '{"input_dim": 3, "hidden_dim": 2}',
+        "[1, 2]",
+        '{"input_dim": "a", "hidden_dim": 2, "code_bits": 1, "hidden_weights": [0, 0],'
+        ' "hidden_bias": [0, 0], "output_weights": [0, 0], "output_bias": [0]}',
+        # a -1 dimension would let reshape infer the shape
+        '{"input_dim": -1, "hidden_dim": 2, "code_bits": 1, "hidden_weights": [0, 0],'
+        ' "hidden_bias": [0, 0], "output_weights": [0, 0], "output_bias": [0]}',
+        '{"input_dim": 1, "hidden_dim": 2, "code_bits": 1, "hidden_weights": [{}, 0],'
+        ' "hidden_bias": [0, 0], "output_weights": [0, 0], "output_bias": [0]}',
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="malformed"):
+            load_checkpoint(path)
 
 
 # --- training loop ---------------------------------------------------------------------
@@ -274,6 +284,11 @@ def test_train_config_rejects_zero_epochs():
         TrainConfig(code_bits=8, batch_size=1)
     with pytest.raises(ValueError):
         TrainConfig(code_bits=8, margin_override=-7)  # parity
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(code_bits=8, learning_rate=bad)
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig(code_bits=8, quant_weight=bad)
 
 
 def test_train_is_deterministic():

@@ -16,10 +16,7 @@ from hashbound.bounds import margins_from_negative
 from hashbound.losses import (
     ClassCenters,
     LossReport,
-    PairBatch,
     classwise_loss,
-    classwise_total_loss,
-    pairs_from_labels,
     pairwise_loss,
     quantization_loss,
     total_loss,
@@ -59,40 +56,102 @@ def sample_smooth_batch(rng, n, bits, margins, max_tries=200):
     raise AssertionError("could not sample a kink-free batch")
 
 
-# --- pair construction -------------------------------------------------------
+# --- oracle: the explicit pair-index form ------------------------------------
 
-def test_pairs_from_labels_counts():
-    batch = pairs_from_labels(np.array([3, 3]))
-    assert len(batch) == 1 and batch.similar.all()
-    batch = pairs_from_labels(np.array([0, 1]))
-    assert len(batch) == 1 and not batch.similar.any()
-    batch = pairs_from_labels(np.array([0, 0, 1, 1]))
-    assert len(batch) == 6
-    assert int(batch.similar.sum()) == 2
-    assert int((~batch.similar).sum()) == 4
+def pair_index_loss(codes, labels, margins):
+    """Reference pairwise loss over explicit (i, j) index pairs, i < j.
+
+    The pair-list implementation the Gram form replaced: B(B-1)/2 index
+    arrays and ``np.add.at`` scatters of the per-pair gradients.
+    """
+    labels = np.asarray(labels)
+    first, second = np.triu_indices(len(labels), k=1)
+    similar = labels[first] == labels[second]
+    theta = np.einsum("ij,ij->i", codes[first], codes[second])
+    loss = 0.0
+    dtheta = np.zeros(len(first))
+    for mask, margin, clip in (
+        (similar, float(margins.positive_margin), np.minimum),
+        (~similar, float(margins.negative_margin), np.maximum),
+    ):
+        if mask.any():
+            hinge = clip(0.0, theta - margin) * mask
+            scale = int(mask.sum()) * (margin**2 if margin != 0 else 1.0)
+            loss += float((hinge**2).sum()) / scale
+            dtheta += 2.0 * hinge / scale
+    grads = np.zeros_like(codes)
+    np.add.at(grads, first, dtheta[:, None] * codes[second])
+    np.add.at(grads, second, dtheta[:, None] * codes[first])
+    return loss, grads
 
 
-def test_pair_batch_validation():
-    with pytest.raises(ValueError):
-        PairBatch(first=np.array([0]), second=np.array([0]), similar=np.array([True]))
-    with pytest.raises(ValueError):
-        PairBatch(first=np.array([]), second=np.array([]), similar=np.array([]))
-    with pytest.raises(ValueError):
-        pairs_from_labels(np.array([1]))
+def assert_matches_oracle(codes, labels, margins):
+    value, grads = pairwise_loss(codes, labels, margins)
+    ref_value, ref_grads = pair_index_loss(codes, labels, margins)
+    assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(grads, ref_grads, rtol=1e-12, atol=1e-12 * np.abs(ref_grads).max())
+
+
+@pytest.mark.parametrize("margins", [
+    MARGINS_12,
+    margins_from_negative(12, 0),  # unit denominator
+    margins_from_negative(12, 4),
+], ids=["neg-6", "neg-0", "neg+4"])
+def test_pairwise_matches_pair_index_oracle(margins):
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(2, 20))
+        codes = rng.uniform(-2.0, 2.0, size=(n, 12))
+        labels = rng.integers(0, int(rng.integers(1, 5)), size=n)  # ties
+        assert_matches_oracle(codes, labels, margins)
+
+
+@pytest.mark.parametrize("labels", [
+    [3, 3, 3, 3, 3],        # single class: similar pairs only
+    [4, 0, 2, 1, 3],        # all distinct: dissimilar pairs only
+    [0, 0],                 # n = 2
+    [0, 1],
+    [7, 7, -1, 7, -1, 2],   # unsorted, negative and non-contiguous labels
+], ids=["single-class", "all-distinct", "n2-similar", "n2-dissimilar", "unsorted"])
+def test_pairwise_matches_oracle_edge_batches(labels):
+    rng = np.random.default_rng(12)
+    for margins in (MARGINS_12, margins_from_negative(12, 0)):
+        codes = rng.uniform(-2.0, 2.0, size=(len(labels), 12))
+        assert_matches_oracle(codes, np.array(labels), margins)
+
+
+def test_pair_kind_counts_normalize():
+    # labels [0, 0, 1, 1]: 2 similar pairs, 4 dissimilar pairs (i < j only)
+    margins = SimpleNamespace(positive_margin=1.0, negative_margin=1.0)
+    codes = np.array([[1.0], [1.0], [0.0], [3.0]])
+    value, _ = pairwise_loss(codes, np.array([0, 0, 1, 1]), margins)
+    # similar: (0,1) free, (2,3) pays 1; dissimilar: (0,3) and (1,3) pay 4 each
+    assert value == pytest.approx(1.0 / 2 + 8.0 / 4)
+    # a single-class pair has no dissimilar term at all
+    value, grads = pairwise_loss(np.array([[2.0], [2.0]]), np.array([3, 3]), margins)
+    assert value == 0.0
+    assert np.all(grads == 0.0)
+
+
+def test_pairwise_input_validation():
+    with pytest.raises(ValueError, match="two samples"):
+        pairwise_loss(np.ones((1, 4)), np.array([1]), MARGINS_12)
+    with pytest.raises(ValueError, match="finite"):
+        pairwise_loss(np.array([[1.0, np.nan], [1.0, 1.0]]), np.array([0, 1]), MARGINS_12)
+    with pytest.raises(ValueError, match=r"\(n, L\)"):
+        pairwise_loss(np.ones(4), np.array([0, 1, 0, 1]), MARGINS_12)
 
 
 # --- pairwise loss ------------------------------------------------------------
 
-def single_pair(similar: bool) -> PairBatch:
-    return PairBatch(
-        first=np.array([0]), second=np.array([1]), similar=np.array([similar])
-    )
+SIMILAR = np.array([0, 0])
+DISSIMILAR = np.array([0, 1])
 
 
 def test_positive_pair_at_margin_is_free():
     codes = np.array([[2.0, 2.0, 2.0], [2.0, 1.0, 0.0]])  # theta = 12
     margins = margins_from_negative(3, -1)
-    value, grads = pairwise_loss(codes, single_pair(True), margins)
+    value, grads = pairwise_loss(codes, SIMILAR, margins)
     # theta = 12 >= positive margin 3
     assert value == 0.0
     assert np.all(grads == 0.0)
@@ -101,7 +160,7 @@ def test_positive_pair_at_margin_is_free():
 def test_negative_pair_hand_value():
     # theta = 0, negative margin -6: (0 - (-6))^2 / 36 = 1
     codes = np.array([[1.0] * 12, [1.0, -1.0] * 6])
-    value, _ = pairwise_loss(codes, single_pair(False), MARGINS_12)
+    value, _ = pairwise_loss(codes, DISSIMILAR, MARGINS_12)
     assert value == pytest.approx(1.0)
 
 
@@ -110,16 +169,16 @@ def test_positive_pair_hand_value():
     base = np.ones(12)
     other = np.ones(12)
     other[:3] = -1.0  # theta = 6
-    value, _ = pairwise_loss(np.stack([base, other]), single_pair(True), MARGINS_12)
+    value, _ = pairwise_loss(np.stack([base, other]), SIMILAR, MARGINS_12)
     assert value == pytest.approx(0.25)
 
 
 def test_one_sided_batches_contribute_single_term():
     codes = np.array([[1.0] * 12, [1.0] * 12])
-    only_pos = single_pair(True)
+    only_pos = SIMILAR
     value, _ = pairwise_loss(codes, only_pos, MARGINS_12)
     assert value == 0.0  # theta = 12 = margin; and no negative term at all
-    only_neg = single_pair(False)
+    only_neg = DISSIMILAR
     value, _ = pairwise_loss(codes, only_neg, MARGINS_12)
     assert value == pytest.approx((12.0 + 6.0) ** 2 / 36.0)
 
@@ -128,11 +187,13 @@ def test_hinge_deadzone():
     rng = np.random.default_rng(1)
     for _ in range(20):
         codes = sample_smooth_batch(rng, 6, 12, MARGINS_12)
-        batch = pairs_from_labels(rng.integers(0, 3, size=6))
-        value, grads = pairwise_loss(codes, batch, MARGINS_12)
-        theta = np.einsum("ij,ij->i", codes[batch.first], codes[batch.second])
-        satisfied = np.all(theta[batch.similar] >= MARGINS_12.positive_margin) and np.all(
-            theta[~batch.similar] <= MARGINS_12.negative_margin
+        labels = rng.integers(0, 3, size=6)
+        value, grads = pairwise_loss(codes, labels, MARGINS_12)
+        first, second = np.triu_indices(6, k=1)
+        theta = np.einsum("ij,ij->i", codes[first], codes[second])
+        similar = labels[first] == labels[second]
+        satisfied = np.all(theta[similar] >= MARGINS_12.positive_margin) and np.all(
+            theta[~similar] <= MARGINS_12.negative_margin
         )
         assert (value == 0.0) == satisfied
         if satisfied:
@@ -144,7 +205,7 @@ def test_single_pair_monotonicity():
         # 1-bit codes with inner product exactly theta_target
         codes = np.array([[1.0], [theta_target]])
         margins = SimpleNamespace(positive_margin=1.0, negative_margin=-0.5)
-        return pairwise_loss(codes, single_pair(False), margins)[0]
+        return pairwise_loss(codes, DISSIMILAR, margins)[0]
 
     thetas = np.linspace(-1.0, 3.0, 41)
     losses = [neg_loss_at(t) for t in thetas]
@@ -156,7 +217,7 @@ def test_single_pair_monotonicity():
     def pos_loss_at(theta_target):
         codes = np.array([[1.0], [theta_target]])
         margins = SimpleNamespace(positive_margin=0.5, negative_margin=-1.0)
-        return pairwise_loss(codes, single_pair(True), margins)[0]
+        return pairwise_loss(codes, SIMILAR, margins)[0]
 
     losses = [pos_loss_at(t) for t in thetas]
     above = thetas >= 0.5
@@ -168,7 +229,7 @@ def test_single_pair_monotonicity():
 def test_maximal_negative_violation_value():
     # binary codes at theta = L: ((L - neg) / neg)^2
     codes = np.array([[1.0] * 12, [1.0] * 12])
-    value, _ = pairwise_loss(codes, single_pair(False), MARGINS_12)
+    value, _ = pairwise_loss(codes, DISSIMILAR, MARGINS_12)
     assert value == pytest.approx((12 - (-6)) ** 2 / (-6) ** 2)
 
 
@@ -177,14 +238,14 @@ def test_joint_scaling_invariance():
     # i.e. codes scale by sqrt(c) while margins scale by c
     rng = np.random.default_rng(2)
     codes = rng.uniform(-1.5, 1.5, size=(6, 12))
-    batch = pairs_from_labels(rng.integers(0, 2, size=6))
-    base, _ = pairwise_loss(codes, batch, MARGINS_12)
+    labels = rng.integers(0, 2, size=6)
+    base, _ = pairwise_loss(codes, labels, MARGINS_12)
     for c in (0.25, 2.0, 10.0):
         scaled = SimpleNamespace(
             positive_margin=MARGINS_12.positive_margin * c,
             negative_margin=MARGINS_12.negative_margin * c,
         )
-        value, _ = pairwise_loss(codes * np.sqrt(c), batch, scaled)
+        value, _ = pairwise_loss(codes * np.sqrt(c), labels, scaled)
         assert value == pytest.approx(base, rel=1e-12)
 
 
@@ -195,7 +256,7 @@ def test_zero_negative_margin_uses_unit_denominator(caplog):
     margins = SimpleNamespace(positive_margin=4.0, negative_margin=0.0)
     codes = np.array([[1.0, 1.0], [1.0, 1.0]])  # theta = 2 > 0
     with caplog.at_level(logging.WARNING, logger="hashbound.losses"):
-        value, _ = pairwise_loss(codes, single_pair(False), margins)
+        value, _ = pairwise_loss(codes, DISSIMILAR, margins)
     assert value == pytest.approx(4.0)  # (2 - 0)^2 / max(0, 1)
     assert any("unit denominator" in r.message for r in caplog.records)
 
@@ -207,17 +268,17 @@ def test_binary_codes_negative_loss_iff_below_target_distance():
     for distance in range(13):
         other = flip_bits(base, range(distance))
         codes = np.stack([base.signs().astype(float), other.signs().astype(float)])
-        value, _ = pairwise_loss(codes, single_pair(False), MARGINS_12)
+        value, _ = pairwise_loss(codes, DISSIMILAR, MARGINS_12)
         if distance >= MARGINS_12.target_distance:
             assert value == 0.0
         else:
             assert value > 0.0
 
 
-def test_pairwise_rejects_out_of_range_indices():
-    batch = PairBatch(first=np.array([0]), second=np.array([5]), similar=np.array([True]))
-    with pytest.raises(ValueError):
-        pairwise_loss(np.ones((2, 4)), batch, MARGINS_12)
+def test_pairwise_rejects_mismatched_labels():
+    for labels in ([0, 1, 0], [0], [[0, 1]]):
+        with pytest.raises(ValueError, match="labels must match"):
+            pairwise_loss(np.ones((2, 4)), np.array(labels), MARGINS_12)
 
 
 # --- quantization loss ----------------------------------------------------------
@@ -247,8 +308,8 @@ def test_quantization_sums_over_batch():
 def test_total_loss_zero_weight_equals_pairwise():
     rng = np.random.default_rng(3)
     codes = rng.uniform(-1.5, 1.5, size=(5, 12))
-    batch = pairs_from_labels(rng.integers(0, 2, size=5))
-    report = total_loss(codes, batch, MARGINS_12, quant_weight=0.0)
+    labels = rng.integers(0, 2, size=5)
+    report = total_loss(codes, labels, MARGINS_12, quant_weight=0.0)
     assert report.total == report.pairwise
     assert report.quantization > 0.0
 
@@ -256,8 +317,7 @@ def test_total_loss_zero_weight_equals_pairwise():
 def test_total_loss_zero_when_everything_satisfied():
     plus = np.ones(12)
     codes = np.stack([plus, plus, -plus])
-    batch = pairs_from_labels(np.array([0, 0, 1]))
-    report = total_loss(codes, batch, MARGINS_12, quant_weight=0.002)
+    report = total_loss(codes, np.array([0, 0, 1]), MARGINS_12, quant_weight=0.002)
     assert report.total == 0.0
     assert np.all(report.code_grads == 0.0)
 
@@ -274,10 +334,10 @@ def test_total_loss_gradient_matches_finite_differences(quant_weight):
     for _ in range(6):
         n = int(rng.integers(3, 9))
         codes = sample_smooth_batch(rng, n, 12, MARGINS_12)
-        batch = pairs_from_labels(rng.integers(0, 3, size=n))
-        report = total_loss(codes, batch, MARGINS_12, quant_weight)
+        labels = rng.integers(0, 3, size=n)
+        report = total_loss(codes, labels, MARGINS_12, quant_weight)
         numeric = finite_difference(
-            lambda u: total_loss(u, batch, MARGINS_12, quant_weight).total, codes
+            lambda u: total_loss(u, labels, MARGINS_12, quant_weight).total, codes
         )
         assert relative_error(report.code_grads, numeric) < 1e-5
 
@@ -347,9 +407,9 @@ def test_classwise_gradient_matches_finite_differences():
                           [[margins.positive_margin, margins.negative_margin]])
             if gaps.min() > KINK_GAP:
                 break
-        report = classwise_total_loss(codes, labels, centers, margins, quant_weight)
+        report = total_loss(codes, labels, margins, quant_weight, centers)
         numeric = finite_difference(
-            lambda u: classwise_total_loss(u, labels, centers, margins, quant_weight).total,
+            lambda u: total_loss(u, labels, margins, quant_weight, centers).total,
             codes,
         )
         assert relative_error(report.code_grads, numeric) < 1e-5
