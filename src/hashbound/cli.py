@@ -42,6 +42,7 @@ from .encoder import (
     train,
 )
 from .evaluation import EvalReport, mean_average_precision
+from .fileio import atomic_open
 
 __all__ = ["main", "entry_point"]
 
@@ -280,11 +281,12 @@ def _report_doc(report: EvalReport, extra_meta: dict) -> dict:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=1) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def _write_precision_csv(path: Path, report: EvalReport) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "precision"])
         for cutoff, value in report.precision_curve:
@@ -292,7 +294,7 @@ def _write_precision_csv(path: Path, report: EvalReport) -> None:
 
 
 def _write_history_csv(path: Path, history) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "pairwise", "quan", "total", "val_map", "min_dist"])
         for r in history.records:
@@ -478,7 +480,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if status == "ok":
             print(f"{parameter}={value} seed={seed}: MAP {float(result_map):.4f}")
 
-    with open(args.out, "w", newline="") as fh:
+    with atomic_open(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "value", "seed", "map", "status", "bound_derived"])
         writer.writerows(rows)

@@ -6,8 +6,10 @@ A batch of n codes of length L is an (n, W) uint64 word matrix with
 W = ceil(L/64), passed together with L.  This is what ``encoder``,
 ``evaluation`` and ``cli`` exchange, and what the vectorized kernels
 (``pack_sign_rows``, ``packed_hamming_matrix``, ``codebook_min_distance``)
-take and return.  ``BinaryCode`` and ``Codebook`` are the scalar edge: bit
-level helpers, ``nearest_codeword`` and the HMX1 records.
+take and return.  ``packed_hamming_matrix`` gives its distances as uint8
+for L <= 192 and as uint16 beyond, the narrowest type that holds 64 * W.
+``BinaryCode`` and ``Codebook`` are the scalar edge: bit level helpers,
+``nearest_codeword`` and the HMX1 records.
 
 Bit layout
 ----------
@@ -243,21 +245,24 @@ def packed_hamming_matrix(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarra
     """All-pairs Hamming distances between two packed word matrices.
 
     Popcount of the XORed words; the (n, m, W) intermediates take 9 bytes
-    per word pair.
+    per word pair.  The sums come in the narrowest unsigned type that holds
+    64 * W: uint8 up to W = 3 (L <= 192), uint16 beyond, so a stable argsort
+    of a row runs as a radix sort.
 
     Args:
         a_words: (n, W) uint64.
         b_words: (m, W) uint64 with the same W.
 
     Returns:
-        (n, m) int64 distance matrix.
+        (n, m) uint8 or uint16 distance matrix.
     """
     check_words(a_words)
     check_words(b_words)
     if a_words.shape[1] != b_words.shape[1]:
         raise ValueError("word widths differ")
     xor = a_words[:, None, :] ^ b_words[None, :, :]
-    return np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
+    dtype = np.min_scalar_type(_WORD_BITS * a_words.shape[1])
+    return np.bitwise_count(xor).sum(axis=2, dtype=dtype)
 
 
 def codebook_min_distance(words: np.ndarray) -> int:

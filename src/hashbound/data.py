@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_open
 from .prng import Xorshift64Star
 
 __all__ = [
@@ -26,6 +27,17 @@ __all__ = [
 ]
 
 
+def _integer_labels(values, what: str = "labels") -> np.ndarray:
+    """``values`` as int64 labels; floats must hold integer values exactly."""
+    labels = np.asarray(values)
+    if labels.dtype.kind not in "biu" and not (
+        labels.dtype.kind == "f"
+        and np.all((np.abs(labels) < 2.0**63) & (labels == np.trunc(labels)))
+    ):
+        raise ValueError(f"{what} must be integers")
+    return labels.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class FeatureDataset:
     """N feature vectors with dense class labels 0..num_classes-1."""
@@ -36,7 +48,7 @@ class FeatureDataset:
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _integer_labels(self.labels)
         if features.ndim != 2 or features.shape[0] < 1:
             raise ValueError("features must be a nonempty (N, D) matrix")
         if len(labels) != features.shape[0]:
@@ -104,7 +116,7 @@ def generate_synthetic(
 
 def save_csv(path, dataset: FeatureDataset) -> None:
     """Write ``label,f0,...,f{D-1}`` rows; floats use repr (round-trip exact)."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
         for label, row in zip(dataset.labels, dataset.features):

@@ -24,6 +24,7 @@ from .bounds import BoundProblem, MarginSet, derive_margins, margins_from_negati
 from .codes import pack_sign_rows
 from .data import DatasetSplits
 from .evaluation import mean_average_precision
+from .fileio import atomic_open
 from .losses import ClassCenters, total_loss, update_centers
 from .prng import Xorshift64Star
 
@@ -384,7 +385,7 @@ def save_checkpoint(
     }
     for key in _CHECKPOINT_KEYS:
         doc[key] = [float(v) for v in getattr(params, key).ravel()]
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 

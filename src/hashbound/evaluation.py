@@ -4,6 +4,15 @@ Ranking is a full linear scan sorted by (distance ascending, database index
 ascending); ties are therefore resolved by database order, which makes every
 number here deterministic for fixed inputs.
 
+The scan walks the queries in blocks of about ``_CHUNK_PAIRS`` = 2**18
+(query, database row) pairs, so memory stays bounded however many queries
+there are.  A block holds its uint8/uint16 distances, their stable argsort
+(a radix sort for such narrow integers), the gathered labels, bool
+relevance, cumulative hits in the narrowest type that holds the database
+size, and float64 precision: about 30 bytes per pair, some 8 MB per block.
+Each query's AP is summed within its own row, so the numbers are the same
+for any block size.
+
 Average precision truncated at k divides by the number of relevant items
 retrieved within the top k (not by the total relevant in the database).
 With a full-length ranking the two conventions coincide; at a cutoff they do
@@ -24,6 +33,7 @@ from .codes import (
     pack_sign_rows,
     packed_hamming_matrix,
 )
+from .data import _integer_labels
 
 __all__ = [
     "EvalReport",
@@ -34,6 +44,9 @@ __all__ = [
 
 # Cutoffs for the precision curve: 1, 5, 10, 50, 100, 500, ...
 _CURVE_PATTERN = (1, 5)
+
+# Target number of (query, database row) pairs ranked at once.
+_CHUNK_PAIRS = 1 << 18
 
 
 def _curve_cutoffs(limit: int) -> list[int]:
@@ -69,7 +82,7 @@ def average_precision(relevance: Sequence[int] | np.ndarray, k: int | None = Non
 
 
 def _check_labels(words: np.ndarray, labels: np.ndarray, what: str = "") -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integer_labels(labels, f"{what}labels")
     if labels.shape != (len(words),):
         raise ValueError(f"{what}labels must match the {what}codes")
     return labels
@@ -87,13 +100,19 @@ def class_center_codes(words: np.ndarray, length: int, labels: np.ndarray) -> np
     labels = _check_labels(words, labels)
     if len(words) == 0:
         raise ValueError("center codes need at least one code")
-    order = np.argsort(labels, kind="stable")
-    _, starts, counts = np.unique(labels[order], return_index=True, return_counts=True)
-    byte_rows = np.ascontiguousarray(words[order], dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(byte_rows, axis=1, count=length, bitorder="little")
-    ones = np.add.reduceat(bits, starts, axis=0, dtype=np.int64)
+    _, dense_ids, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    ones = np.empty((len(counts), length))
+    # one bit column at a time, so the scratch stays O(n) for any length
+    for i in range(length):
+        bit = (words[:, i >> 6] >> (i & 63)) & 1
+        ones[:, i] = np.bincount(dense_ids, weights=bit, minlength=len(counts))
     # 2 * ones - count is the sum of the +-1 symbols; a tie (0) packs to +1
     return pack_sign_rows(2 * ones - counts[:, None])
+
+
+def _ap_rows(precision_sums: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """Per-row AP: the summed precision at the hits over the hit count (0 if none)."""
+    return np.where(hits > 0, precision_sums / np.maximum(hits, 1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -141,27 +160,34 @@ def mean_average_precision(
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
 
-    dists = packed_hamming_matrix(query_words, database_words)
-    order = np.argsort(dists, axis=1, kind="stable")
-    relevance = (database_labels[order] == query_labels[:, None]).astype(np.float64)
-
-    positions = np.arange(1, relevance.shape[1] + 1, dtype=np.float64)
-    cum_hits = np.cumsum(relevance, axis=1)
-    precision = cum_hits / positions
-
-    def _map_at(cutoff: int | None) -> tuple[float, np.ndarray]:
-        rel = relevance if cutoff is None else relevance[:, :cutoff]
-        prec = precision if cutoff is None else precision[:, :cutoff]
-        hits = rel.sum(axis=1)
-        ap = np.where(hits > 0, (prec * rel).sum(axis=1) / np.maximum(hits, 1), 0.0)
-        return float(ap.mean()), ap
-
-    full_map, per_query = _map_at(None)
-    map_at_k = _map_at(k)[0] if k is not None else None
+    num_queries, db_size = len(query_words), len(database_words)
+    cutoffs = _curve_cutoffs(db_size)
+    positions = np.arange(1, db_size + 1, dtype=np.float64)
+    per_query = np.empty(num_queries)
+    per_query_at_k = np.empty(num_queries) if k is not None else None
+    curve_hits = np.zeros(len(cutoffs), dtype=np.int64)
+    curve_columns = np.array(cutoffs) - 1
+    depth = db_size if k is None else min(k, db_size)
+    hit_dtype = np.min_scalar_type(db_size)
+    block = max(1, _CHUNK_PAIRS // db_size)
+    for lo in range(0, num_queries, block):
+        rows = slice(lo, lo + block)
+        dists = packed_hamming_matrix(query_words[rows], database_words)
+        order = np.argsort(dists, axis=1, kind="stable")
+        relevance = database_labels[order] == query_labels[rows, None]
+        cum_hits = np.cumsum(relevance, axis=1, dtype=hit_dtype)
+        precision = cum_hits / positions
+        if k is not None:
+            at_k = (precision[:, :k] * relevance[:, :k]).sum(axis=1)
+            per_query_at_k[rows] = _ap_rows(at_k, cum_hits[:, depth - 1])
+        # precision at the relevant positions, 0 elsewhere, summed per row
+        np.multiply(precision, relevance, out=precision)
+        per_query[rows] = _ap_rows(precision.sum(axis=1), cum_hits[:, -1])
+        curve_hits += cum_hits[:, curve_columns].sum(axis=0, dtype=np.int64)
 
     curve = [
-        (cutoff, float(relevance[:, :cutoff].mean()))
-        for cutoff in _curve_cutoffs(relevance.shape[1])
+        (cutoff, hits / (num_queries * cutoff))
+        for cutoff, hits in zip(cutoffs, curve_hits.tolist())
     ]
 
     min_dist: int | None = None
@@ -173,8 +199,8 @@ def mean_average_precision(
         target = solve_target_distance(BoundProblem(length, num_classes))
 
     return EvalReport(
-        map=full_map,
-        map_at_k=map_at_k,
+        map=float(per_query.mean()),
+        map_at_k=float(per_query_at_k.mean()) if k is not None else None,
         k=k,
         precision_curve=curve,
         min_interclass_distance=min_dist,

@@ -1,5 +1,6 @@
 """CLI contracts: subcommands, exit codes, config files, reproducibility."""
 
+import csv
 import json
 import os
 import subprocess
@@ -122,6 +123,49 @@ def test_train_records_classwise_flag(tmp_path):
     assert run_train(out_dir, ["--classwise"]) == 0
     checkpoint = json.loads((out_dir / "checkpoint.json").read_text())
     assert checkpoint["config"]["classwise"] is True
+
+
+def test_train_write_failing_midway_keeps_the_old_outputs(tmp_path, monkeypatch, capsys):
+    out_dir = tmp_path / "run"
+    assert run_train(out_dir) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    def failing_dumps(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dumps", failing_dumps)
+    assert run_train(out_dir, ["--seed", "1"]) == 2
+    assert "disk full" in capsys.readouterr().err
+    # checkpoint.json and history.csv were written before the failing
+    # splits.json; the rest are the previous run's bytes, and no temp is left
+    after = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert sorted(after) == sorted(before)
+    for name in ("splits.json", "report.json", "precision_curve.csv"):
+        assert after[name] == before[name]
+
+
+def test_sweep_write_failing_midway_keeps_the_old_table(tmp_path, monkeypatch, capsys):
+    sweep_csv = tmp_path / "sweep.csv"
+    argv = ["sweep", "--margins=-6", "--out", str(sweep_csv), *FAST_TRAIN]
+    assert main(argv) == 0
+    before = sweep_csv.read_bytes()
+    real_writer = csv.writer
+
+    class HeaderOnlyWriter:
+        def __init__(self, fh):
+            self._writer = real_writer(fh)
+
+        def writerow(self, row):
+            self._writer.writerow(row)
+
+        def writerows(self, rows):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(csv, "writer", HeaderOnlyWriter)
+    assert main(argv) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert sweep_csv.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
 
 def test_train_byte_identical_reruns(tmp_path):

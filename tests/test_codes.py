@@ -173,7 +173,7 @@ def test_packed_matrix_kernel_matches_pairwise_path():
                 assert matrix[i, j] == hamming_distance(a, b)
 
 
-@pytest.mark.parametrize("length", [1, 12, 64, 65, 130])
+@pytest.mark.parametrize("length", [1, 12, 64, 65, 130, 192, 193, 256])
 def test_packed_hamming_matrix_matches_scalar_oracle(length):
     # duplicate rows on both sides give zero distances and tied rows
     rng = np.random.default_rng(length)
@@ -181,10 +181,20 @@ def test_packed_hamming_matrix_matches_scalar_oracle(length):
     codes_a += [codes_a[0], codes_a[3]]
     codes_b = [random_code(rng, length) for _ in range(4)] + [codes_a[0], codes_a[0]]
     matrix = packed_hamming_matrix(word_matrix(codes_a), word_matrix(codes_b))
-    assert matrix.dtype == np.int64
+    # the narrowest type that holds 64 * W: uint8 for W <= 3, uint16 at W = 4
+    assert matrix.dtype == (np.uint8 if length <= 192 else np.uint16)
     assert matrix.tolist() == [
         [hamming_distance(a, b) for b in codes_b] for a in codes_a
     ]
+
+
+@pytest.mark.parametrize("length", [64, 128, 192, 193, 255, 256])
+def test_packed_hamming_matrix_holds_the_largest_distance(length):
+    # complementary codes sit at distance L, the largest sum the dtype must hold
+    ones = word_matrix([from_bits([1] * length)])
+    zeros = word_matrix([from_bits([0] * length)])
+    assert packed_hamming_matrix(ones, zeros).tolist() == [[length]]
+    assert packed_hamming_matrix(ones, ones).tolist() == [[0]]
 
 
 def test_packed_hamming_matrix_validation():

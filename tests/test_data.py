@@ -67,6 +67,23 @@ def test_feature_dataset_validation():
                        num_classes=1)
 
 
+@pytest.mark.parametrize("labels", [
+    [0.5, 0.0, 1.0], [0.0, 1.0, np.nan], [0.0, 1.0, np.inf], [0.0, 1.0, 2.0**63],
+    ["0", "1", "1"],
+])
+def test_feature_dataset_rejects_non_integer_labels(labels):
+    # a cast to int64 would truncate 0.5 to class 0 without a word
+    with pytest.raises(ValueError, match="labels must be integers"):
+        FeatureDataset(features=np.ones((3, 2)), labels=labels, num_classes=2)
+
+
+def test_feature_dataset_accepts_integer_valued_floats():
+    dataset = FeatureDataset(features=np.ones((3, 2)), labels=[0.0, 1.0, 1.0],
+                             num_classes=2)
+    assert dataset.labels.dtype == np.int64
+    assert dataset.labels.tolist() == [0, 1, 1]
+
+
 # --- CSV ingestion ---------------------------------------------------------------
 
 def test_csv_round_trip_exact(tmp_path):

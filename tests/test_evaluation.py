@@ -4,11 +4,13 @@ Frozen AP expectations were computed with an exact Fraction-based oracle
 (reproduced below) and are asserted to 1e-12.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from hashbound import evaluation
 from hashbound.bounds import BoundProblem, bound_holds
 from hashbound.codes import (
     codebook_min_distance,
@@ -16,9 +18,11 @@ from hashbound.codes import (
     flip_bits,
     from_bits,
     hamming_distance,
+    pack_sign_rows,
     word_matrix,
 )
 from hashbound.evaluation import (
+    _curve_cutoffs,
     average_precision,
     class_center_codes,
     mean_average_precision,
@@ -84,6 +88,58 @@ def ranked_order(query, db):
         for j in range(len(db))
     ]
     return np.argsort(positions).tolist()
+
+
+def dense_map_oracle(query_words, query_labels, database_words, database_labels, k):
+    """The whole-matrix ranking that the block scan replaced, kept as an oracle.
+
+    It holds (nq, n_db) int64 distances and order and float64 relevance,
+    cumulative hits and precision, and takes every mean over the full matrix.
+    """
+    query_labels = np.asarray(query_labels, dtype=np.int64)
+    database_labels = np.asarray(database_labels, dtype=np.int64)
+    xor = query_words[:, None, :] ^ database_words[None, :, :]
+    dists = np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
+    order = np.argsort(dists, axis=1, kind="stable")
+    relevance = (database_labels[order] == query_labels[:, None]).astype(np.float64)
+
+    positions = np.arange(1, relevance.shape[1] + 1, dtype=np.float64)
+    cum_hits = np.cumsum(relevance, axis=1)
+    precision = cum_hits / positions
+
+    def _map_at(cutoff):
+        rel = relevance if cutoff is None else relevance[:, :cutoff]
+        prec = precision if cutoff is None else precision[:, :cutoff]
+        hits = rel.sum(axis=1)
+        ap = np.where(hits > 0, (prec * rel).sum(axis=1) / np.maximum(hits, 1), 0.0)
+        return float(ap.mean()), ap
+
+    full_map, per_query = _map_at(None)
+    map_at_k = _map_at(k)[0] if k is not None else None
+    curve = [
+        (cutoff, float(relevance[:, :cutoff].mean()))
+        for cutoff in _curve_cutoffs(relevance.shape[1])
+    ]
+    return full_map, map_at_k, per_query.tolist(), curve
+
+
+def random_words(rng, n, length):
+    """An (n, W) word matrix of uniformly random length-``length`` codes."""
+    return pack_sign_rows(rng.integers(0, 2, size=(n, length)) - 0.5)
+
+
+def assert_matches_dense(query_words, query_labels, database_words, database_labels,
+                         k, length):
+    report = mean_average_precision(
+        query_words, query_labels, database_words, database_labels, k, length
+    )
+    full_map, map_at_k, per_query, curve = dense_map_oracle(
+        query_words, query_labels, database_words, database_labels, k
+    )
+    assert report.map == full_map
+    assert report.map_at_k == map_at_k
+    assert report.per_query_ap == per_query
+    assert report.precision_curve == curve
 
 
 def majority_center_oracle(codes, labels):
@@ -249,6 +305,90 @@ def test_map_bounds_and_curve():
     assert all(0.0 <= v <= 1.0 for _, v in report.precision_curve)
 
 
+# --- the block scan against the dense oracle ------------------------------------------
+
+# 1 ranks one query per block, 7 gives ragged blocks, 10**9 one block for all
+CHUNKS = [1, 7, 10**9]
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("length", [1, 3, 6, 64, 65, 192, 193, 256])
+def test_block_scan_matches_dense_oracle(monkeypatch, chunk, length):
+    # short codes tie heavily; 192 / 193 cross the uint8 / uint16 switch.
+    # Labels are unsorted and non-contiguous, and k runs past the database.
+    monkeypatch.setattr(evaluation, "_CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng([length, chunk])
+    label_values = np.array([11, -4, 3, 8])
+    for _ in range(12):
+        nq, n_db = int(rng.integers(1, 13)), int(rng.integers(1, 60))
+        query_words = random_words(rng, nq, length)
+        database_words = random_words(rng, n_db, length)
+        if rng.random() < 0.5:  # queries that also sit in the database
+            picks = rng.integers(0, n_db, size=nq)
+            query_words = database_words[picks]
+        query_labels = rng.choice(label_values, size=nq)
+        # at most 2**L database classes, or the bound diagnostic is undefined
+        classes = int(rng.integers(1, min(4, 2**length) + 1))
+        database_labels = rng.choice(label_values[:classes], size=n_db)
+        k = [None, 1, int(rng.integers(1, n_db + 1)), n_db + 5][int(rng.integers(0, 4))]
+        assert_matches_dense(
+            query_words, query_labels, database_words, database_labels, k, length
+        )
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_block_scan_single_class_database(monkeypatch, chunk):
+    # one database class: queries of another class score AP 0 everywhere
+    monkeypatch.setattr(evaluation, "_CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng(chunk)
+    database_words = random_words(rng, 30, 6)
+    query_words = random_words(rng, 9, 6)
+    query_labels = np.array([5, 2, 5, 5, 2, 5, 2, 2, 5])
+    for k in (None, 3, 30, 31, 100):
+        assert_matches_dense(query_words, query_labels, database_words,
+                             np.full(30, 5), k, 6)
+    report = mean_average_precision(
+        query_words, query_labels, database_words, np.full(30, 5), 100, 6
+    )
+    assert report.per_query_ap == [1.0 if c == 5 else 0.0 for c in query_labels]
+    assert report.min_interclass_distance is None
+
+
+def test_block_scan_matches_dense_oracle_on_a_larger_database(monkeypatch):
+    # a few hundred rows reach the 50 and 100 cutoffs of the precision curve
+    monkeypatch.setattr(evaluation, "_CHUNK_PAIRS", 1000)
+    rng = np.random.default_rng(11)
+    database_words = random_words(rng, 700, 10)
+    database_labels = rng.integers(-3, 7, size=700) * 3
+    query_words = random_words(rng, 23, 10)
+    query_labels = rng.integers(-3, 7, size=23) * 3
+    for k in (None, 50, 699, 1000):
+        assert_matches_dense(query_words, query_labels, database_words,
+                             database_labels, k, 10)
+
+
+def test_map_memory_does_not_grow_with_queries():
+    # the dense form needs over 32 bytes per pair: about 500 MB at 128 x 100k
+    rng = np.random.default_rng(12)
+    database_words = rng.integers(0, 2**64, size=(100_000, 1), dtype=np.uint64)
+    database_labels = rng.integers(0, 50, size=100_000)
+
+    def peak_bytes(num_queries):
+        tracemalloc.start()
+        try:
+            mean_average_precision(
+                database_words[:num_queries], database_labels[:num_queries],
+                database_words, database_labels, 100, 64,
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak_bytes(16), peak_bytes(128)
+    assert many < 32 * 2**20
+    assert many <= 1.5 * few
+
+
 def test_map_validation():
     words = word_matrix([from_bits([1, 0])])
     empty = np.zeros((0, 1), dtype=np.uint64)
@@ -264,6 +404,23 @@ def test_map_validation():
         mean_average_precision(words.astype(np.int64), [0], words, [0], None, 2)
     with pytest.raises(ValueError, match="uint64"):
         mean_average_precision(words[0], [0], words, [0], None, 2)
+
+
+def test_map_rejects_non_integer_labels():
+    # a cast to int64 would read [0.9] against [0.2, 0.7, 1.5] as [0] against
+    # [0, 0, 1] and report MAP 1.0
+    words = word_matrix([from_bits([1, 0]), from_bits([0, 1]), from_bits([1, 1])])
+    with pytest.raises(ValueError, match="query labels must be integers"):
+        mean_average_precision(words[:1], [0.9], words, [0.2, 0.7, 1.5], None, 2)
+    with pytest.raises(ValueError, match="database labels must be integers"):
+        mean_average_precision(words[:1], [0], words, [0.2, 0.7, 1.5], None, 2)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        mean_average_precision(words[:1], [0], words, [0, 1, np.nan], None, 2)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        class_center_codes(words, 2, [0.5, 0.0, 1.0])
+    # integer-valued floats are labels like any other
+    report = mean_average_precision(words[:1], [1.0], words, [0.0, 1.0, 1.0], None, 2)
+    assert report.map == mean_average_precision(words[:1], [1], words, [0, 1, 1], None, 2).map
 
 
 # --- interclass diagnostics -----------------------------------------------------------
@@ -340,6 +497,15 @@ def test_class_center_codes_match_majority_oracle(length):
         centers = class_center_codes(word_matrix(codes), length, labels)
         assert centers.shape == (4, (length + 63) // 64)
         assert codes_from_word_rows(centers, length) == expected
+
+
+def test_class_center_codes_match_majority_oracle_on_many_rows():
+    # three words per code and over a thousand rows, labels unsorted
+    rng = np.random.default_rng(130)
+    labels = rng.choice(np.array([7, -2, 30, 4, 0]), size=1100)
+    codes = [random_code(rng, 130) for _ in range(len(labels))]
+    centers = class_center_codes(word_matrix(codes), 130, labels)
+    assert codes_from_word_rows(centers, 130) == majority_center_oracle(codes, labels)
 
 
 def test_class_center_codes_validation():

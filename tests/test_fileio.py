@@ -1,0 +1,58 @@
+"""Atomic writes: a write that fails midway keeps the old file, leaves no temp."""
+
+import json
+
+import pytest
+
+from hashbound.encoder import TrainConfig, init_params, save_checkpoint
+from hashbound.fileio import atomic_open
+
+
+def names(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_atomic_open_replaces_the_file_on_success(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with atomic_open(path) as fh:
+        fh.write("new\n")
+        assert path.read_text() == "old\n"  # the new bytes land only at the end
+    assert path.read_text() == "new\n"
+    assert names(tmp_path) == ["out.txt"]
+
+
+def test_atomic_open_keeps_newline_mode(tmp_path):
+    path = tmp_path / "rows.csv"
+    with atomic_open(path, newline="") as fh:
+        fh.write("a\r\nb\n")
+    assert path.read_bytes() == b"a\r\nb\n"
+
+
+def test_atomic_open_failure_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    for target in (path, tmp_path / "new.txt"):
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_open(target) as fh:
+                fh.write("half a")
+                raise RuntimeError("midway")
+    assert path.read_text() == "old\n"
+    assert names(tmp_path) == ["out.txt"]  # no new.txt and no temp file
+
+
+def test_checkpoint_write_failing_midway_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.json"
+    config = TrainConfig(code_bits=8, seed=1, epochs=3)
+    save_checkpoint(path, init_params(6, 10, 8, seed=1), config, epoch=3)
+    before = path.read_bytes()
+
+    def dump_half(doc, fh, **kwargs):
+        fh.write(json.dumps(doc, **kwargs)[:200])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_half)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, init_params(6, 10, 8, seed=2), config, epoch=3)
+    assert path.read_bytes() == before
+    assert names(tmp_path) == ["checkpoint.json"]
