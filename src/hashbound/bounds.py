@@ -1,9 +1,10 @@
 """Exact sphere-packing arithmetic for binary codebooks.
 
-Everything here runs on arbitrary-precision Python integers: the feasibility
-test is evaluated as ``num_classes * volume <= alphabet**bits`` with no
-division and no floating point, so boundary cases are decided exactly even
-at 64 bits and beyond.
+The codes are binary: length ``bits`` over {+1, -1}, so the space holds
+``2**bits`` words.  Everything here runs on arbitrary-precision Python
+integers: the feasibility test is evaluated as
+``num_classes * volume <= 2**bits`` with no division and no floating point,
+so boundary cases are decided exactly even at 64 bits and beyond.
 
 The quantity this module ultimately produces is a pair of inner-product
 margins for a hinge loss: the positive margin equals the code length (same
@@ -39,13 +40,13 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def sphere_volume(code_bits: int, distance: int, alphabet_size: int = 2) -> int:
-    """Number of words within the packing radius of one codeword.
+def sphere_volume(code_bits: int, distance: int) -> int:
+    """Number of binary words within the packing radius of one codeword.
 
     For codewords of length ``code_bits`` and a minimum distance ``distance``,
     the packing radius is floor((distance - 1) / 2) and the volume is
 
-        sum_{i=0}^{radius} C(code_bits, i) * (alphabet_size - 1)**i
+        sum_{i=0}^{radius} C(code_bits, i)
 
     computed exactly.
     """
@@ -53,12 +54,8 @@ def sphere_volume(code_bits: int, distance: int, alphabet_size: int = 2) -> int:
         raise ValueError("code_bits must be >= 1")
     if distance < 1:
         raise ValueError("distance must be >= 1")
-    if alphabet_size < 2:
-        raise ValueError("alphabet_size must be >= 2")
     radius = (distance - 1) // 2
-    return sum(
-        binomial(code_bits, i) * (alphabet_size - 1) ** i for i in range(radius + 1)
-    )
+    return sum(binomial(code_bits, i) for i in range(radius + 1))
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,6 @@ class BoundProblem:
 
     code_bits: int
     num_classes: int
-    alphabet_size: int = 2
 
     def __post_init__(self) -> None:
         if self.code_bits < 1:
@@ -77,12 +73,10 @@ class BoundProblem:
                 "num_classes must be >= 2; minimum distance is undefined "
                 "for a single codeword"
             )
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
-        if self.num_classes > self.alphabet_size**self.code_bits:
+        if self.num_classes > 2**self.code_bits:
             raise ValueError(
                 f"cannot place {self.num_classes} distinct codewords in "
-                f"{self.alphabet_size}**{self.code_bits} words"
+                f"2**{self.code_bits} words"
             )
 
 
@@ -91,16 +85,14 @@ def bound_holds(problem: BoundProblem, distance: int) -> bool:
 
     Exact integer form of the packing condition:
 
-        num_classes * sphere_volume(bits, distance) <= alphabet**bits
+        num_classes * sphere_volume(bits, distance) <= 2**bits
 
     A ``True`` result is necessary for the codebook to exist, not sufficient.
     """
     if distance < 1:
         raise ValueError("distance must be >= 1")
-    lhs = problem.num_classes * sphere_volume(
-        problem.code_bits, distance, problem.alphabet_size
-    )
-    return lhs <= problem.alphabet_size**problem.code_bits
+    lhs = problem.num_classes * sphere_volume(problem.code_bits, distance)
+    return lhs <= 2**problem.code_bits
 
 
 def solve_target_distance(problem: BoundProblem) -> int:
@@ -116,8 +108,7 @@ def solve_target_distance(problem: BoundProblem) -> int:
     at or above the minimum attainable inner product.
     """
     bits = problem.code_bits
-    space = problem.alphabet_size**bits
-    weight = problem.alphabet_size - 1
+    space = 2**bits
     volume = 1  # radius-0 sphere
     radius = 0
     d = 1
@@ -128,7 +119,7 @@ def solve_target_distance(problem: BoundProblem) -> int:
         new_radius = (d - 1) // 2
         if new_radius > radius:
             radius = new_radius
-            volume += binomial(bits, radius) * weight**radius
+            volume += binomial(bits, radius)
     return d
 
 
@@ -155,10 +146,6 @@ class MarginSet:
             raise ValueError(
                 "margins must satisfy positive - negative == 2 * target_distance"
             )
-
-    @property
-    def code_bits(self) -> int:
-        return self.positive_margin
 
 
 def derive_margins(problem: BoundProblem) -> MarginSet:

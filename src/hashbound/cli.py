@@ -286,7 +286,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_precision_csv(path: Path, report: EvalReport) -> None:
-    with atomic_open(path, newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "precision"])
         for cutoff, value in report.precision_curve:
@@ -294,7 +294,7 @@ def _write_precision_csv(path: Path, report: EvalReport) -> None:
 
 
 def _write_history_csv(path: Path, history) -> None:
-    with atomic_open(path, newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "pairwise", "quan", "total", "val_map", "min_dist"])
         for r in history.records:
@@ -480,7 +480,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if status == "ok":
             print(f"{parameter}={value} seed={seed}: MAP {float(result_map):.4f}")
 
-    with atomic_open(args.out, newline="") as fh:
+    with atomic_open(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "value", "seed", "map", "status", "bound_derived"])
         writer.writerows(rows)

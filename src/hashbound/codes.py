@@ -4,12 +4,13 @@ Representation
 --------------
 A batch of n codes of length L is an (n, W) uint64 word matrix with
 W = ceil(L/64), passed together with L.  This is what ``encoder``,
-``evaluation`` and ``cli`` exchange, and what the vectorized kernels
+``evaluation`` and ``cli`` exchange, what the vectorized kernels
 (``pack_sign_rows``, ``packed_hamming_matrix``, ``codebook_min_distance``)
-take and return.  ``packed_hamming_matrix`` gives its distances as uint8
-for L <= 192 and as uint16 beyond, the narrowest type that holds 64 * W.
-``BinaryCode`` and ``Codebook`` are the scalar edge: bit level helpers,
-``nearest_codeword`` and the HMX1 records.
+take and return, and what the HMX1 files hold.  ``packed_hamming_matrix``
+gives its distances as uint8 for L <= 192 and as uint16 beyond, the
+narrowest type that holds 64 * W.  ``BinaryCode`` and ``Codebook`` are the
+scalar edge: bit-level work (flips, inner products) and nearest-codeword
+decoding, which runs on the same Hamming kernel.
 
 Bit layout
 ----------
@@ -22,7 +23,8 @@ File format
 -----------
 ``write_codes`` emits: magic ``HMX1``, the code length as u32 little-endian,
 the record count as u64 little-endian, then per record ceil(L/64) u64
-little-endian words.  The in-memory layout above makes this a straight dump.
+little-endian words.  The in-memory layout above makes this a straight dump
+of the word matrix, and ``read_codes`` returns it as one.
 
 Binarization follows sgn(0) = +1 so that encoding is deterministic.
 """
@@ -34,6 +36,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .fileio import atomic_open
 
 __all__ = [
     "BinaryCode",
@@ -49,8 +53,6 @@ __all__ = [
     "codebook_min_distance",
     "nearest_codeword",
     "pack_sign_rows",
-    "word_matrix",
-    "codes_from_word_rows",
     "packed_hamming_matrix",
     "write_codes",
     "read_codes",
@@ -58,6 +60,7 @@ __all__ = [
 
 _WORD_BITS = 64
 _MAGIC = b"HMX1"
+_HEADER_BYTES = 16  # magic, u32 code length, u64 record count
 
 def _word_count(length: int) -> int:
     return (length + _WORD_BITS - 1) // _WORD_BITS
@@ -76,6 +79,12 @@ def check_words(words: np.ndarray, length: int | None = None) -> np.ndarray:
                 f"got {words.shape[1]}"
             )
     return words
+
+
+def _check_padding(words: np.ndarray, length: int) -> None:
+    pad_bits = _word_count(length) * _WORD_BITS - length
+    if pad_bits and np.any(words[:, -1] >> (_WORD_BITS - pad_bits)):
+        raise ValueError("padding bits beyond the code length must be zero")
 
 
 @dataclass(frozen=True)
@@ -159,14 +168,10 @@ def flip_bits(code: BinaryCode, positions: Sequence[int]) -> BinaryCode:
     return BinaryCode(length=code.length, words=tuple(words))
 
 
-def _check_same_length(a: BinaryCode, b: BinaryCode) -> None:
-    if a.length != b.length:
-        raise ValueError(f"code lengths differ: {a.length} vs {b.length}")
-
-
 def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
     """Number of differing symbols, via per-word XOR popcount."""
-    _check_same_length(a, b)
+    if a.length != b.length:
+        raise ValueError(f"code lengths differ: {a.length} vs {b.length}")
     return sum((wa ^ wb).bit_count() for wa, wb in zip(a.words, b.words))
 
 
@@ -195,31 +200,16 @@ def correction_radius(min_distance: int) -> int:
 
 @dataclass(frozen=True)
 class Codebook:
-    """An ordered list of equal-length codes, optionally labeled by class."""
+    """An ordered, nonempty list of equal-length codes."""
 
     codes: tuple[BinaryCode, ...]
-    class_ids: tuple[int, ...] | None = None
 
-    def __init__(
-        self,
-        codes: Sequence[BinaryCode],
-        class_ids: Sequence[int] | None = None,
-    ):
-        codes = tuple(codes)
-        if not codes:
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "codes", tuple(self.codes))
+        if not self.codes:
             raise ValueError("a codebook needs at least one code")
-        length = codes[0].length
-        for c in codes:
-            if c.length != length:
-                raise ValueError("all codes in a codebook must share one length")
-        ids = tuple(int(i) for i in class_ids) if class_ids is not None else None
-        if ids is not None and len(ids) != len(codes):
-            raise ValueError("class_ids must match the number of codes")
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "class_ids", ids)
-
-    def __len__(self) -> int:
-        return len(self.codes)
+        if any(c.length != self.length for c in self.codes):
+            raise ValueError("all codes in a codebook must share one length")
 
     @property
     def length(self) -> int:
@@ -227,18 +217,7 @@ class Codebook:
 
     def word_matrix(self) -> np.ndarray:
         """All codes stacked as an (n, words) uint64 matrix."""
-        return word_matrix(self.codes)
-
-
-def word_matrix(codes: Sequence[BinaryCode]) -> np.ndarray:
-    return np.array([c.words for c in codes], dtype=np.uint64)
-
-
-def codes_from_word_rows(words: np.ndarray, length: int) -> list[BinaryCode]:
-    """Wrap the rows of a packed word matrix as BinaryCode objects."""
-    return [
-        BinaryCode(length=length, words=tuple(int(w) for w in row)) for row in words
-    ]
+        return np.array([c.words for c in self.codes], dtype=np.uint64)
 
 
 def packed_hamming_matrix(a_words: np.ndarray, b_words: np.ndarray) -> np.ndarray:
@@ -285,51 +264,41 @@ def nearest_codeword(book: Codebook, query: BinaryCode) -> tuple[int, int]:
             f"query length {query.length} does not match codebook length "
             f"{book.length}"
         )
-    best_index = 0
-    best_dist = hamming_distance(book.codes[0], query)
-    for i, code in enumerate(book.codes[1:], start=1):
-        d = hamming_distance(code, query)
-        if d < best_dist:
-            best_index, best_dist = i, d
-    return best_index, best_dist
+    query_words = np.array([query.words], dtype=np.uint64)
+    dists = packed_hamming_matrix(query_words, book.word_matrix())[0]
+    best = int(np.argmin(dists))  # the first minimum
+    return best, int(dists[best])
 
 
-def write_codes(path, codes: Sequence[BinaryCode]) -> None:
-    """Write codes in the HMX1 container (see module docstring)."""
-    codes = list(codes)
-    if not codes:
+def write_codes(path, words: np.ndarray, length: int) -> None:
+    """Write an (n, W) word matrix of length-``length`` codes as HMX1, atomically."""
+    check_words(words, length)
+    if len(words) == 0:
         raise ValueError("refusing to write an empty code file")
-    length = codes[0].length
-    for c in codes:
-        if c.length != length:
-            raise ValueError("all codes in one file must share one length")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", length))
-        fh.write(struct.pack("<Q", len(codes)))
-        for c in codes:
-            for w in c.words:
-                fh.write(struct.pack("<Q", w))
+    _check_padding(words, length)
+    with atomic_open(path, binary=True) as fh:
+        fh.write(_MAGIC + struct.pack("<IQ", length, len(words)))
+        fh.write(words.astype("<u8").tobytes())
 
 
-def read_codes(path) -> list[BinaryCode]:
-    """Read an HMX1 code file back into BinaryCode objects."""
+def read_codes(path) -> tuple[np.ndarray, int]:
+    """Read an HMX1 code file as an (n, W) uint64 word matrix and its length."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a code file: bad magic {magic!r}")
-        (length,) = struct.unpack("<I", fh.read(4))
-        (count,) = struct.unpack("<Q", fh.read(8))
-        if length < 1:
-            raise ValueError("code file declares zero-length codes")
-        words_per = _word_count(length)
-        out = []
-        for _ in range(count):
-            raw = fh.read(8 * words_per)
-            if len(raw) != 8 * words_per:
-                raise ValueError("code file truncated")
-            words = struct.unpack(f"<{words_per}Q", raw)
-            out.append(BinaryCode(length=length, words=words))
-        if fh.read(1):
-            raise ValueError("trailing bytes after the last record")
-    return out
+        raw = fh.read()
+    if raw[:4] != _MAGIC:
+        raise ValueError(f"not a code file: bad magic {raw[:4]!r}")
+    if len(raw) < _HEADER_BYTES:
+        raise ValueError("code file truncated")
+    length, count = struct.unpack_from("<IQ", raw, 4)
+    if length < 1:
+        raise ValueError("code file declares zero-length codes")
+    width = _word_count(length)
+    body_bytes = len(raw) - _HEADER_BYTES  # checked before any allocation
+    if body_bytes < count * 8 * width:
+        raise ValueError("code file truncated")
+    if body_bytes > count * 8 * width:
+        raise ValueError("trailing bytes after the last record")
+    raw_words = np.frombuffer(raw, dtype="<u8", offset=_HEADER_BYTES)
+    words = raw_words.astype(np.uint64).reshape(count, width)
+    _check_padding(words, length)
+    return words, length

@@ -116,7 +116,7 @@ def generate_synthetic(
 
 def save_csv(path, dataset: FeatureDataset) -> None:
     """Write ``label,f0,...,f{D-1}`` rows; floats use repr (round-trip exact)."""
-    with atomic_open(path, newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
         for label, row in zip(dataset.labels, dataset.features):

@@ -121,8 +121,9 @@ class EvalReport:
 
     ``min_interclass_distance`` is measured on the per-class center codes of
     the database; ``target_distance`` is the bound-derived separation for
-    the same (code length, class count).  Both are None when the database
-    holds fewer than two classes.
+    the same (code length, class count), and None when the database holds
+    more classes than the 2**L codewords (the bound has no answer then).
+    Both are None when the database holds fewer than two classes.
     """
 
     map: float
@@ -196,7 +197,8 @@ def mean_average_precision(
     if num_classes >= 2:
         centers = class_center_codes(database_words, length, database_labels)
         min_dist = codebook_min_distance(centers)
-        target = solve_target_distance(BoundProblem(length, num_classes))
+        if num_classes <= 2**length:
+            target = solve_target_distance(BoundProblem(length, num_classes))
 
     return EvalReport(
         map=float(per_query.mean()),

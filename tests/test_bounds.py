@@ -117,11 +117,6 @@ def test_sphere_volume_matches_oracle_exhaustively():
             assert sphere_volume(bits, distance) == oracle_volume(bits, distance)
 
 
-def test_sphere_volume_general_alphabet_factor():
-    # radius 2 at q=3: 1 + C(7,1)*2 + C(7,2)*4 = 1 + 14 + 84
-    assert sphere_volume(7, 5, alphabet_size=3) == 99
-
-
 def test_sphere_volume_input_validation():
     with pytest.raises(ValueError):
         sphere_volume(0, 1)

@@ -1,5 +1,7 @@
 """Packed code kernels against naive per-symbol oracles."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from hashbound.codes import (
     Codebook,
     check_words,
     codebook_min_distance,
-    codes_from_word_rows,
     correction_radius,
     distance_from_inner_product,
     flip_bits,
@@ -22,7 +23,6 @@ from hashbound.codes import (
     pack_sign_rows,
     packed_hamming_matrix,
     read_codes,
-    word_matrix,
     write_codes,
 )
 
@@ -167,7 +167,9 @@ def test_packed_matrix_kernel_matches_pairwise_path():
     for length in LENGTHS:
         codes_a = [random_code(rng, length) for _ in range(7)]
         codes_b = [random_code(rng, length) for _ in range(5)]
-        matrix = packed_hamming_matrix(word_matrix(codes_a), word_matrix(codes_b))
+        matrix = packed_hamming_matrix(
+            Codebook(codes_a).word_matrix(), Codebook(codes_b).word_matrix()
+        )
         for i, a in enumerate(codes_a):
             for j, b in enumerate(codes_b):
                 assert matrix[i, j] == hamming_distance(a, b)
@@ -180,7 +182,9 @@ def test_packed_hamming_matrix_matches_scalar_oracle(length):
     codes_a = [random_code(rng, length) for _ in range(6)]
     codes_a += [codes_a[0], codes_a[3]]
     codes_b = [random_code(rng, length) for _ in range(4)] + [codes_a[0], codes_a[0]]
-    matrix = packed_hamming_matrix(word_matrix(codes_a), word_matrix(codes_b))
+    matrix = packed_hamming_matrix(
+        Codebook(codes_a).word_matrix(), Codebook(codes_b).word_matrix()
+    )
     # the narrowest type that holds 64 * W: uint8 for W <= 3, uint16 at W = 4
     assert matrix.dtype == (np.uint8 if length <= 192 else np.uint16)
     assert matrix.tolist() == [
@@ -191,15 +195,15 @@ def test_packed_hamming_matrix_matches_scalar_oracle(length):
 @pytest.mark.parametrize("length", [64, 128, 192, 193, 255, 256])
 def test_packed_hamming_matrix_holds_the_largest_distance(length):
     # complementary codes sit at distance L, the largest sum the dtype must hold
-    ones = word_matrix([from_bits([1] * length)])
-    zeros = word_matrix([from_bits([0] * length)])
+    ones = Codebook([from_bits([1] * length)]).word_matrix()
+    zeros = Codebook([from_bits([0] * length)]).word_matrix()
     assert packed_hamming_matrix(ones, zeros).tolist() == [[length]]
     assert packed_hamming_matrix(ones, ones).tolist() == [[0]]
 
 
 def test_packed_hamming_matrix_validation():
-    narrow = word_matrix([from_bits([1] * 12)])
-    wide = word_matrix([from_bits([1] * 65)])
+    narrow = Codebook([from_bits([1] * 12)]).word_matrix()
+    wide = Codebook([from_bits([1] * 65)]).word_matrix()
     with pytest.raises(ValueError, match="widths differ"):
         packed_hamming_matrix(narrow, wide)
     with pytest.raises(ValueError, match="uint64"):
@@ -209,7 +213,7 @@ def test_packed_hamming_matrix_validation():
 
 
 def test_check_words_width_against_length():
-    wide = word_matrix([from_bits([1] * 65)])
+    wide = Codebook([from_bits([1] * 65)]).word_matrix()
     assert check_words(wide, 65) is wide
     assert check_words(wide, 128) is wide
     for bad_length in (64, 129, 0):
@@ -224,19 +228,17 @@ def test_codebook_validation():
         Codebook([])
     with pytest.raises(ValueError):
         Codebook([from_bits([1, 0]), from_bits([1, 0, 1])])
-    with pytest.raises(ValueError):
-        Codebook([from_bits([1, 0])], class_ids=[0, 1])
 
 
 def test_codebook_min_distance_examples():
     a = from_bits([1] * 12)
     b = flip_bits(a, range(12))
-    assert codebook_min_distance(word_matrix([a, b])) == 12
-    assert codebook_min_distance(word_matrix([a, b, a])) == 0  # duplicate
+    assert codebook_min_distance(Codebook([a, b]).word_matrix()) == 12
+    assert codebook_min_distance(Codebook([a, b, a]).word_matrix()) == 0  # duplicate
     with pytest.raises(ValueError, match="two codes"):
-        codebook_min_distance(word_matrix([a]))
+        codebook_min_distance(Codebook([a]).word_matrix())
     with pytest.raises(ValueError, match="uint64"):
-        codebook_min_distance(word_matrix([a, b]).astype(np.int64))
+        codebook_min_distance(Codebook([a, b]).word_matrix().astype(np.int64))
 
 
 def test_codebook_min_distance_matches_pair_scan():
@@ -310,19 +312,58 @@ def test_decode_within_radius_property():
 
 # --- file format ----------------------------------------------------------------
 
+HMX1_LENGTHS = (1, 12, 64, 65, 130)
+
+
+def reference_write_codes(path, codes):
+    """The one-word-at-a-time struct writer that HMX1 was defined by."""
+    with open(path, "wb") as fh:
+        fh.write(b"HMX1")
+        fh.write(struct.pack("<I", codes[0].length))
+        fh.write(struct.pack("<Q", len(codes)))
+        for c in codes:
+            for w in c.words:
+                fh.write(struct.pack("<Q", w))
+
+
+def hmx1_file(tmp_path, length, rows=5):
+    """A valid HMX1 file of random codes plus a duplicate row, and its words."""
+    rng = np.random.default_rng(length)
+    codes = [random_code(rng, length) for _ in range(rows)]
+    words = Codebook(codes + [codes[0]]).word_matrix()
+    path = tmp_path / f"codes_{length}.hmx"
+    write_codes(path, words, length)
+    return path, words
+
+
+@pytest.mark.parametrize("length", HMX1_LENGTHS)
+def test_code_file_matches_reference_writer(tmp_path, length):
+    rng = np.random.default_rng(length)
+    codes = [random_code(rng, length) for _ in range(7)]
+    codes += [codes[2], codes[2], codes[0]]  # duplicate rows
+    expected = tmp_path / "reference.hmx"
+    reference_write_codes(expected, codes)
+    path = tmp_path / "codes.hmx"
+    write_codes(path, Codebook(codes).word_matrix(), length)
+    assert path.read_bytes() == expected.read_bytes()
+
+
 def test_code_file_round_trip(tmp_path):
     rng = np.random.default_rng(10)
-    for length in LENGTHS:
+    for length in sorted(set(LENGTHS + HMX1_LENGTHS)):
         path = tmp_path / f"codes_{length}.hmx"
-        codes = [random_code(rng, length) for _ in range(11)]
-        write_codes(path, codes)
-        assert read_codes(path) == codes
+        words = Codebook([random_code(rng, length) for _ in range(11)]).word_matrix()
+        write_codes(path, words, length)
+        read, read_length = read_codes(path)
+        assert read_length == length
+        assert read.dtype == np.uint64 and read.flags.writeable
+        assert np.array_equal(read, words)
 
 
 def test_code_file_layout_is_pinned(tmp_path):
     # magic, u32 length, u64 count, then LSB-first words little-endian
     path = tmp_path / "one.hmx"
-    write_codes(path, [from_bits([1, 0, 1])])
+    write_codes(path, Codebook([from_bits([1, 0, 1])]).word_matrix(), 3)
     raw = path.read_bytes()
     assert raw[:4] == b"HMX1"
     assert raw[4:8] == (3).to_bytes(4, "little")
@@ -340,7 +381,8 @@ def test_code_file_rejects_bad_magic(tmp_path):
 
 def test_code_file_rejects_truncation_and_trailing(tmp_path):
     path = tmp_path / "codes.hmx"
-    write_codes(path, [from_bits([1] * 12), from_bits([0] * 12)])
+    words = Codebook([from_bits([1] * 12), from_bits([0] * 12)]).word_matrix()
+    write_codes(path, words, 12)
     raw = path.read_bytes()
     path.write_bytes(raw[:-3])
     with pytest.raises(ValueError, match="truncated"):
@@ -350,7 +392,64 @@ def test_code_file_rejects_truncation_and_trailing(tmp_path):
         read_codes(path)
 
 
-def test_codes_from_word_rows_round_trip():
-    rng = np.random.default_rng(11)
-    codes = [random_code(rng, 65) for _ in range(4)]
-    assert codes_from_word_rows(word_matrix(codes), 65) == codes
+@pytest.mark.parametrize("length", HMX1_LENGTHS)
+def test_code_file_every_prefix_is_rejected(tmp_path, length):
+    path, _ = hmx1_file(tmp_path, length, rows=2)
+    raw = path.read_bytes()
+    for end in range(len(raw)):
+        path.write_bytes(raw[:end])
+        with pytest.raises(ValueError, match="magic" if end < 4 else "truncated"):
+            read_codes(path)
+
+
+def test_code_file_huge_count_is_truncated_not_allocated(tmp_path):
+    # a header that declares 2**63 records with no body behind it
+    path = tmp_path / "huge.hmx"
+    for length in (1, 130):
+        path.write_bytes(b"HMX1" + struct.pack("<IQ", length, 2**63))
+        with pytest.raises(ValueError, match="truncated"):
+            read_codes(path)
+
+
+def test_code_file_header_only_and_zero_length(tmp_path):
+    path = tmp_path / "codes.hmx"
+    path.write_bytes(b"HMX1" + struct.pack("<IQ", 65, 0))
+    words, length = read_codes(path)
+    assert length == 65 and words.shape == (0, 2) and words.dtype == np.uint64
+    path.write_bytes(b"HMX1" + struct.pack("<IQ", 0, 1) + bytes(8))
+    with pytest.raises(ValueError, match="zero-length"):
+        read_codes(path)
+
+
+def test_code_file_rejects_nonzero_padding(tmp_path):
+    path = tmp_path / "codes.hmx"
+    path.write_bytes(b"HMX1" + struct.pack("<IQQ", 3, 1, 0b1101))  # bit 3 is padding
+    with pytest.raises(ValueError, match="padding"):
+        read_codes(path)
+    valid, words = hmx1_file(tmp_path, 65)
+    raw = bytearray(valid.read_bytes())
+    raw[-1] |= 0x80  # the top bit of the last word of the last row
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="padding"):
+        read_codes(path)
+    words[-1, -1] |= np.uint64(1 << 63)
+    with pytest.raises(ValueError, match="padding"):
+        write_codes(path, words, 65)
+    # a full last word has no padding to check
+    full = np.full((2, 1), 2**64 - 1, dtype=np.uint64)
+    write_codes(path, full, 64)
+    assert np.array_equal(read_codes(path)[0], full)
+
+
+def test_write_codes_validation(tmp_path):
+    path = tmp_path / "codes.hmx"
+    words = Codebook([from_bits([1] * 12)]).word_matrix()
+    with pytest.raises(ValueError, match="empty"):
+        write_codes(path, words[:0], 12)
+    with pytest.raises(ValueError, match="code length"):
+        write_codes(path, np.zeros((1, 0), dtype=np.uint64), 0)
+    with pytest.raises(ValueError, match="words per row"):
+        write_codes(path, words, 65)
+    with pytest.raises(ValueError, match="uint64"):
+        write_codes(path, words.astype(np.int64), 12)
+    assert not path.exists()

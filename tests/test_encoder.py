@@ -23,7 +23,7 @@ from hashbound.encoder import (
     train,
     zeros_like_params,
 )
-from hashbound.codes import codes_from_word_rows, from_signs
+from hashbound.codes import Codebook, from_signs
 from hashbound.losses import total_loss
 
 
@@ -223,7 +223,8 @@ def test_encode_matches_scalar_binarization():
     relaxed = forward(params, feats)
     words = encode(params, feats)
     assert words.shape == (4, 1) and words.dtype == np.uint64
-    assert codes_from_word_rows(words, 12) == [from_signs(row) for row in relaxed]
+    expected = Codebook([from_signs(row) for row in relaxed]).word_matrix()
+    assert np.array_equal(words, expected)
 
 
 # --- checkpoints ---------------------------------------------------------------------

@@ -13,13 +13,12 @@ import pytest
 from hashbound import evaluation
 from hashbound.bounds import BoundProblem, bound_holds
 from hashbound.codes import (
+    Codebook,
     codebook_min_distance,
-    codes_from_word_rows,
     flip_bits,
     from_bits,
     hamming_distance,
     pack_sign_rows,
-    word_matrix,
 )
 from hashbound.evaluation import (
     _curve_cutoffs,
@@ -72,8 +71,8 @@ def random_code(rng, length):
 def report_for(queries, query_labels, db, db_labels, k=None):
     """mean_average_precision on lists of BinaryCode, packed to word matrices."""
     return mean_average_precision(
-        word_matrix(queries), np.asarray(query_labels), word_matrix(db),
-        np.asarray(db_labels), k, db[0].length,
+        Codebook(queries).word_matrix(), np.asarray(query_labels),
+        Codebook(db).word_matrix(), np.asarray(db_labels), k, db[0].length,
     )
 
 
@@ -183,8 +182,8 @@ def test_rank_matches_sort_oracle():
 
 
 def test_rank_length_mismatch():
-    short = word_matrix([from_bits([1, 0])])
-    wide = word_matrix([from_bits([1] * 65)])
+    short = Codebook([from_bits([1, 0])]).word_matrix()
+    wide = Codebook([from_bits([1] * 65)]).word_matrix()
     with pytest.raises(ValueError, match="words per row"):
         mean_average_precision(short, [0], wide, [0], None, 2)
     with pytest.raises(ValueError, match="words per row"):
@@ -318,7 +317,7 @@ def test_block_scan_matches_dense_oracle(monkeypatch, chunk, length):
     # Labels are unsorted and non-contiguous, and k runs past the database.
     monkeypatch.setattr(evaluation, "_CHUNK_PAIRS", chunk)
     rng = np.random.default_rng([length, chunk])
-    label_values = np.array([11, -4, 3, 8])
+    label_values = np.array([11, -4, 3, 8, 0, 27, -9, 5, 14, 2])
     for _ in range(12):
         nq, n_db = int(rng.integers(1, 13)), int(rng.integers(1, 60))
         query_words = random_words(rng, nq, length)
@@ -327,8 +326,8 @@ def test_block_scan_matches_dense_oracle(monkeypatch, chunk, length):
             picks = rng.integers(0, n_db, size=nq)
             query_words = database_words[picks]
         query_labels = rng.choice(label_values, size=nq)
-        # at most 2**L database classes, or the bound diagnostic is undefined
-        classes = int(rng.integers(1, min(4, 2**length) + 1))
+        # up to 10 classes: more than the 2**L codewords at L = 1 and 3
+        classes = int(rng.integers(1, len(label_values) + 1))
         database_labels = rng.choice(label_values[:classes], size=n_db)
         k = [None, 1, int(rng.integers(1, n_db + 1)), n_db + 5][int(rng.integers(0, 4))]
         assert_matches_dense(
@@ -390,7 +389,7 @@ def test_map_memory_does_not_grow_with_queries():
 
 
 def test_map_validation():
-    words = word_matrix([from_bits([1, 0])])
+    words = Codebook([from_bits([1, 0])]).word_matrix()
     empty = np.zeros((0, 1), dtype=np.uint64)
     with pytest.raises(ValueError, match="nonempty"):
         mean_average_precision(empty, np.array([]), words, np.array([0]), None, 2)
@@ -409,7 +408,8 @@ def test_map_validation():
 def test_map_rejects_non_integer_labels():
     # a cast to int64 would read [0.9] against [0.2, 0.7, 1.5] as [0] against
     # [0, 0, 1] and report MAP 1.0
-    words = word_matrix([from_bits([1, 0]), from_bits([0, 1]), from_bits([1, 1])])
+    codes = [from_bits([1, 0]), from_bits([0, 1]), from_bits([1, 1])]
+    words = Codebook(codes).word_matrix()
     with pytest.raises(ValueError, match="query labels must be integers"):
         mean_average_precision(words[:1], [0.9], words, [0.2, 0.7, 1.5], None, 2)
     with pytest.raises(ValueError, match="database labels must be integers"):
@@ -450,7 +450,7 @@ def test_min_interclass_distance_matches_scan():
         )
         report = report_for(codes[:3], labels[:3], codes, labels)
         assert report.min_interclass_distance == oracle
-        center_words = class_center_codes(word_matrix(codes), 16, labels)
+        center_words = class_center_codes(Codebook(codes).word_matrix(), 16, labels)
         assert codebook_min_distance(center_words) == oracle
 
 
@@ -459,8 +459,29 @@ def test_min_interclass_distance_single_class_error():
     report = report_for(codes, [0, 0], codes, [0, 0])
     assert report.min_interclass_distance is None
     assert report.target_distance is None
+    centers = class_center_codes(Codebook(codes).word_matrix(), 1, np.array([0, 0]))
     with pytest.raises(ValueError, match="two codes"):
-        codebook_min_distance(class_center_codes(word_matrix(codes), 1, np.array([0, 0])))
+        codebook_min_distance(centers)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_more_classes_than_codewords(length):
+    # the ranking is well defined; only the packing bound has no answer, and
+    # some two of the 2**L + 3 class centers must coincide
+    rng = np.random.default_rng(length)
+    classes = 2**length + 3
+    database_words = random_words(rng, 40, length)
+    database_labels = rng.permutation(np.arange(40) % classes)
+    query_words = random_words(rng, 9, length)
+    query_labels = rng.integers(0, classes, size=9)
+    report = mean_average_precision(
+        query_words, query_labels, database_words, database_labels, 5, length
+    )
+    assert report.target_distance is None
+    assert report.min_interclass_distance == 0
+    assert_matches_dense(
+        query_words, query_labels, database_words, database_labels, 5, length
+    )
 
 
 def test_class_center_codes_majority_vote():
@@ -470,17 +491,15 @@ def test_class_center_codes_majority_vote():
         from_bits([1, 1, 1, 0]),  # class 0: majority (1, 1, 0, 0)
         from_bits([0, 0, 1, 1]),  # class 1: itself
     ]
-    centers = class_center_codes(word_matrix(codes), 4, np.array([0, 0, 0, 1]))
-    assert [c.bits().tolist() for c in codes_from_word_rows(centers, 4)] == [
-        [1, 1, 0, 0],
-        [0, 0, 1, 1],
-    ]
+    centers = class_center_codes(Codebook(codes).word_matrix(), 4, np.array([0, 0, 0, 1]))
+    expected = Codebook([from_bits([1, 1, 0, 0]), from_bits([0, 0, 1, 1])])
+    assert np.array_equal(centers, expected.word_matrix())
 
 
 def test_class_center_tie_goes_positive():
     codes = [from_bits([1, 0]), from_bits([0, 1])]
-    centers = class_center_codes(word_matrix(codes), 2, np.array([0, 0]))
-    assert codes_from_word_rows(centers, 2)[0].bits().tolist() == [1, 1]
+    centers = class_center_codes(Codebook(codes).word_matrix(), 2, np.array([0, 0]))
+    assert np.array_equal(centers, Codebook([from_bits([1, 1])]).word_matrix())
 
 
 @pytest.mark.parametrize("length", [1, 12, 64, 65, 130])
@@ -494,9 +513,9 @@ def test_class_center_codes_match_majority_oracle(length):
         labels = rng.permutation(np.repeat(label_values, sizes))
         codes = [random_code(rng, length) for _ in range(len(labels))]
         expected = majority_center_oracle(codes, labels)
-        centers = class_center_codes(word_matrix(codes), length, labels)
+        centers = class_center_codes(Codebook(codes).word_matrix(), length, labels)
         assert centers.shape == (4, (length + 63) // 64)
-        assert codes_from_word_rows(centers, length) == expected
+        assert np.array_equal(centers, Codebook(expected).word_matrix())
 
 
 def test_class_center_codes_match_majority_oracle_on_many_rows():
@@ -504,12 +523,13 @@ def test_class_center_codes_match_majority_oracle_on_many_rows():
     rng = np.random.default_rng(130)
     labels = rng.choice(np.array([7, -2, 30, 4, 0]), size=1100)
     codes = [random_code(rng, 130) for _ in range(len(labels))]
-    centers = class_center_codes(word_matrix(codes), 130, labels)
-    assert codes_from_word_rows(centers, 130) == majority_center_oracle(codes, labels)
+    centers = class_center_codes(Codebook(codes).word_matrix(), 130, labels)
+    expected = Codebook(majority_center_oracle(codes, labels)).word_matrix()
+    assert np.array_equal(centers, expected)
 
 
 def test_class_center_codes_validation():
-    words = word_matrix([from_bits([1, 0]), from_bits([0, 1])])
+    words = Codebook([from_bits([1, 0]), from_bits([0, 1])]).word_matrix()
     with pytest.raises(ValueError, match="labels must match"):
         class_center_codes(words, 2, np.array([0]))
     with pytest.raises(ValueError, match="words per row"):
