@@ -1,9 +1,12 @@
 """Command-line entry point: bound tables, data generation, training,
 evaluation, and margin / quantization-weight sweeps.
 
-Subcommands: ``bound``, ``gen-data``, ``train``, ``eval``, ``sweep``.  Any
-subcommand accepts ``--config PATH`` pointing at a JSON object whose keys
-are the long flag names with underscores; explicit flags override the file.
+Subcommands: ``bound``, ``gen-data``, ``train``, ``eval``, ``sweep``; run
+them as ``hashbound CMD`` or ``python -m hashbound CMD``.  Any subcommand
+accepts ``--config PATH`` pointing at a JSON object whose keys are the long
+flag names with underscores; explicit flags override the file.  A config
+file that cannot be decoded or parsed as JSON, names an unknown field or
+gives a value of the wrong type is a usage error.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 All outputs are machine readable (JSON / CSV) and byte-identical across
@@ -17,7 +20,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -102,6 +105,7 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hashbound", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_bound = sub.add_parser("bound", help="derive loss margins from the packing bound")
     p_bound.add_argument("--config", type=str, default=None)
@@ -145,26 +149,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+def _apply_config_file(parser: _Parser, argv: list[str] | None) -> argparse.Namespace:
     """Parse argv, then re-parse with the JSON config file as defaults.
 
     Each value must have its flag's type (``null`` only where the flag
     defaults to unset), so a bad file is a usage error, not a traceback.
     """
     args = parser.parse_args(argv)
-    if getattr(args, "config", None) is None:
+    if args.config is None:
         return args
     path = Path(args.config)
     if not path.is_file():
         raise _UsageError(f"config file not found: {path}")
     try:
         values = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise _UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(values, dict):
         raise _UsageError(f"config file {path} must hold a JSON object")
-    sub = _build_parser()
-    command_parser = _subparser(sub, args.command)
+    command_parser = parser.commands[args.command]
     actions = {
         a.dest: a for a in command_parser._actions
         if not isinstance(a, argparse._HelpAction)
@@ -178,7 +181,7 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> argparse.Namespace:
                 f"config file {path}: field {key!r} must be {expected}, got {value!r}"
             )
     command_parser.set_defaults(**values)
-    return sub.parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def _config_type_error(action: argparse.Action, value) -> str | None:
@@ -191,13 +194,6 @@ def _config_type_error(action: argparse.Action, value) -> str | None:
     if isinstance(value, accepted) and not isinstance(value, bool):
         return None
     return {int: "an integer", float: "a number", str: "a string"}[action.type]
-
-
-def _subparser(parser: _Parser, command: str) -> argparse.ArgumentParser:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise KeyError(command)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -236,24 +232,25 @@ def _make_splits(args: argparse.Namespace, dataset: FeatureDataset) -> DatasetSp
     return split_dataset(dataset, spec, seed=args.split_seed)
 
 
-def _train_config(args: argparse.Namespace, seed: int | None = None,
-                  margin_override: int | None = None,
-                  quant_weight: float | None = None) -> TrainConfig:
+def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(
         code_bits=args.bits,
         hidden_dim=args.hidden,
         learning_rate=args.lr,
         momentum=args.momentum,
-        quant_weight=args.quant_weight if quant_weight is None else quant_weight,
+        quant_weight=args.quant_weight,
         batch_size=args.batch_size,
         epochs=args.epochs,
-        seed=args.seed if seed is None else seed,
+        seed=args.seed,
         classwise=args.classwise,
-        margin_override=(
-            args.margin_override if margin_override is None else margin_override
-        ),
+        margin_override=args.margin_override,
         center_momentum=args.center_momentum,
     )
+
+
+def _check_cutoff(args: argparse.Namespace) -> None:
+    if args.k is not None and args.k < 1:
+        raise _UsageError("--k must be >= 1")
 
 
 def _evaluate(
@@ -270,23 +267,21 @@ def _evaluate(
     )
 
 
-def _report_doc(report: EvalReport, extra_meta: dict) -> dict:
-    doc = asdict(report)
-    doc["metadata"] = {
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        "tie_break": "distance ascending, then database index ascending",
-        **extra_meta,
-    }
-    return doc
-
-
 def _write_json(path: Path, doc: dict) -> None:
     with atomic_open(path) as fh:
         fh.write(json.dumps(doc, indent=1) + "\n")
 
 
-def _write_precision_csv(path: Path, report: EvalReport) -> None:
-    with atomic_open(path) as fh:
+def _write_report(out_dir: Path, report: EvalReport, meta: dict) -> None:
+    """Write ``report.json`` (timestamped metadata) and ``precision_curve.csv``."""
+    doc = asdict(report)
+    doc["metadata"] = {
+        "created_at": datetime.now(timezone.utc).isoformat(),
+        "tie_break": "distance ascending, then database index ascending",
+        **meta,
+    }
+    _write_json(out_dir / "report.json", doc)
+    with atomic_open(out_dir / "precision_curve.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "precision"])
         for cutoff, value in report.precision_curve:
@@ -304,31 +299,31 @@ def _write_history_csv(path: Path, history) -> None:
             )
 
 
+_BOUND_LABELS = (
+    "code bits", "classes", "target distance", "positive margin",
+    "negative margin", "correction radius", "clamped to length",
+)
+
+
 def _cmd_bound(args: argparse.Namespace) -> int:
     _require(args, "bits", "classes")
     problem = BoundProblem(code_bits=args.bits, num_classes=args.classes)
     margins = derive_margins(problem)
-    clamped = bound_holds(problem, margins.target_distance)
-    print(f"code bits:          {args.bits}")
-    print(f"classes:            {args.classes}")
-    print(f"target distance:    {margins.target_distance}")
-    print(f"positive margin:    {margins.positive_margin}")
-    print(f"negative margin:    {margins.negative_margin}")
-    print(f"correction radius:  {correction_radius(margins.target_distance)}")
-    print(f"clamped to length:  {'yes' if clamped else 'no'}")
+    doc = {
+        "code_bits": args.bits,
+        "num_classes": args.classes,
+        "target_distance": margins.target_distance,
+        "positive_margin": margins.positive_margin,
+        "negative_margin": margins.negative_margin,
+        "correction_radius": correction_radius(margins.target_distance),
+        "clamped": bound_holds(problem, margins.target_distance),
+    }
+    for label, value in zip(_BOUND_LABELS, doc.values()):
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        print(f"{label + ':':<20}{value}")
     if args.out:
-        _write_json(
-            Path(args.out),
-            {
-                "code_bits": args.bits,
-                "num_classes": args.classes,
-                "target_distance": margins.target_distance,
-                "positive_margin": margins.positive_margin,
-                "negative_margin": margins.negative_margin,
-                "correction_radius": correction_radius(margins.target_distance),
-                "clamped": clamped,
-            },
-        )
+        _write_json(Path(args.out), doc)
     return EXIT_OK
 
 
@@ -344,6 +339,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     _require(args, "out_dir")
+    _check_cutoff(args)
     config = _train_config(args)
     dataset = _load_dataset(args)
     splits = _make_splits(args, dataset)
@@ -364,18 +360,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
         },
     )
     report = _evaluate(params, splits, args.k)
-    _write_json(
-        out_dir / "report.json",
-        _report_doc(
-            report,
-            {
-                "negative_margin": history.margins.negative_margin,
-                "classwise": config.classwise,
-                "seed": config.seed,
-            },
-        ),
+    _write_report(
+        out_dir,
+        report,
+        {
+            "negative_margin": history.margins.negative_margin,
+            "classwise": config.classwise,
+            "seed": config.seed,
+        },
     )
-    _write_precision_csv(out_dir / "precision_curve.csv", report)
     final = history.records[-1]
     print(
         f"trained {config.epochs} epochs: total loss {final.total:.6f}, "
@@ -386,6 +379,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     _require(args, "checkpoint", "out_dir")
+    _check_cutoff(args)
     path = Path(args.checkpoint)
     if not path.is_file():
         raise _UsageError(f"checkpoint not found: {path}")
@@ -410,11 +404,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = _evaluate(params, splits, args.k)
-    _write_json(
-        out_dir / "report.json",
-        _report_doc(report, {"checkpoint": str(path), "epoch": meta.get("epoch")}),
-    )
-    _write_precision_csv(out_dir / "precision_curve.csv", report)
+    _write_report(out_dir, report, {"checkpoint": str(path), "epoch": meta.get("epoch")})
     print(f"query MAP {report.map:.4f}" + (f", MAP@{args.k} {report.map_at_k:.4f}" if args.k else ""))
     return EXIT_OK
 
@@ -431,60 +421,54 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.margins is None) == (args.quant_weights is None):
         raise _UsageError("exactly one of --margins / --quant-weights is required")
     if args.margins is not None:
-        parameter = "negative_margin"
+        parameter, field = "negative_margin", "margin_override"
         values = _parse_number_list(args.margins, int)
     else:
-        parameter = "quant_weight"
+        parameter, field = "quant_weight", "quant_weight"
         values = _parse_number_list(args.quant_weights, float)
-    if not values:
-        raise _UsageError("the sweep list is empty")
     seeds = (
         _parse_number_list(args.seeds, int) if args.seeds is not None else [args.seed]
     )
-
-    dataset = _load_dataset(args)
-    splits = _make_splits(args, dataset)
-    derived = derive_margins(
-        BoundProblem(code_bits=args.bits, num_classes=dataset.num_classes)
-    ).negative_margin
+    if not values or not seeds:
+        raise _UsageError("the sweep list is empty")
 
     # Validate all configurations before any training starts.
+    base = _train_config(args)
     configs = []
     for value in values:
         for seed in seeds:
-            if parameter == "negative_margin":
-                try:
-                    cfg = _train_config(args, seed=seed, margin_override=value)
-                except ValueError as exc:
-                    raise _UsageError(f"sweep value {value}: {exc}")
-            else:
-                if value < 0:
-                    raise _UsageError("quantization weights must be >= 0")
-                cfg = _train_config(args, seed=seed, quant_weight=value)
-            configs.append((value, seed, cfg))
+            try:
+                configs.append((value, seed, replace(base, seed=seed, **{field: value})))
+            except ValueError as exc:
+                raise _UsageError(f"sweep value {value}: {exc}")
+
+    dataset = _load_dataset(args)
+    splits = _make_splits(args, dataset)
+    # With more classes than codewords no margin is bound-derived (as in
+    # EvalReport.target_distance), but any explicit margin still trains.
+    derived = None
+    if parameter == "negative_margin" and dataset.num_classes <= 2**args.bits:
+        derived = derive_margins(
+            BoundProblem(code_bits=args.bits, num_classes=dataset.num_classes)
+        ).negative_margin
 
     rows = []
-    any_failed = False
     for value, seed, cfg in configs:
         try:
             params, _ = train(splits, cfg)
-            result_map = repr(_evaluate(params, splits, None).map)
-            status = "ok"
         except TrainingDivergedError as exc:
-            result_map = ""
-            status = "failed"
-            any_failed = True
             print(f"{parameter}={value} seed={seed}: {exc}", file=sys.stderr)
-        flagged = parameter == "negative_margin" and value == derived
-        rows.append([parameter, value, seed, result_map, status, flagged])
-        if status == "ok":
-            print(f"{parameter}={value} seed={seed}: MAP {float(result_map):.4f}")
+            rows.append([parameter, value, seed, "", "failed", value == derived])
+            continue
+        result_map = _evaluate(params, splits, None).map
+        rows.append([parameter, value, seed, repr(result_map), "ok", value == derived])
+        print(f"{parameter}={value} seed={seed}: MAP {result_map:.4f}")
 
     with atomic_open(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "value", "seed", "map", "status", "bound_derived"])
         writer.writerows(rows)
-    return EXIT_RUNTIME if any_failed else EXIT_OK
+    return EXIT_RUNTIME if any(row[4] == "failed" for row in rows) else EXIT_OK
 
 
 _COMMANDS = {
@@ -497,30 +481,22 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the CLI; returns the process exit code."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
+    """Run the CLI on ``argv`` (default ``sys.argv[1:]``); returns the exit code."""
     try:
-        args = _apply_config_file(parser, argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _apply_config_file(_build_parser(), argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         # invalid domain values surfacing from the library are config errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TrainingDivergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (TrainingDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 
 def entry_point() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

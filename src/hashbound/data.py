@@ -103,15 +103,16 @@ def generate_synthetic(
             direction = rng.normals(dim)
             norm = float(np.linalg.norm(direction))
         centers[c] = direction / norm * center_scale
-    features = np.zeros((num_classes * per_class, dim))
-    labels = np.zeros(num_classes * per_class, dtype=np.int64)
-    row = 0
+    # One draw per class keeps the stream order of a draw per row, since
+    # normals() carries its spare value across calls.
+    features = np.zeros((num_classes, per_class, dim))
     for c in range(num_classes):
-        for _ in range(per_class):
-            features[row] = centers[c] + noise_sigma * rng.normals(dim)
-            labels[row] = c
-            row += 1
-    return FeatureDataset(features=features, labels=labels, num_classes=num_classes)
+        noise = rng.normals(per_class * dim).reshape(per_class, dim)
+        features[c] = centers[c] + noise_sigma * noise
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
+    return FeatureDataset(
+        features=features.reshape(-1, dim), labels=labels, num_classes=num_classes
+    )
 
 
 def save_csv(path, dataset: FeatureDataset) -> None:

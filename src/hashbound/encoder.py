@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -48,6 +48,8 @@ __all__ = [
 # Substream ids for the experiment seed.
 _STREAM_INIT = 0
 _STREAM_SHUFFLE = 1
+
+_CHECKPOINT_KEYS = ("hidden_weights", "hidden_bias", "output_weights", "output_bias")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -113,10 +115,7 @@ def init_params(input_dim: int, hidden_dim: int, code_bits: int, seed: int) -> E
 
 def zeros_like_params(params: EncoderParams) -> EncoderParams:
     return EncoderParams(
-        hidden_weights=np.zeros_like(params.hidden_weights),
-        hidden_bias=np.zeros_like(params.hidden_bias),
-        output_weights=np.zeros_like(params.output_weights),
-        output_bias=np.zeros_like(params.output_bias),
+        **{key: np.zeros_like(getattr(params, key)) for key in _CHECKPOINT_KEYS}
     )
 
 
@@ -169,19 +168,12 @@ def sgd_step(
     momentum: float,
 ) -> tuple[EncoderParams, EncoderParams]:
     """Momentum SGD: v <- momentum*v - lr*g; theta <- theta + v."""
-
-    def step(p: np.ndarray, g: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v_new = momentum * v - learning_rate * g
-        return p + v_new, v_new
-
-    hw, vhw = step(params.hidden_weights, grads.hidden_weights, velocity.hidden_weights)
-    hb, vhb = step(params.hidden_bias, grads.hidden_bias, velocity.hidden_bias)
-    ow, vow = step(params.output_weights, grads.output_weights, velocity.output_weights)
-    ob, vob = step(params.output_bias, grads.output_bias, velocity.output_bias)
-    return (
-        EncoderParams(hw, hb, ow, ob),
-        EncoderParams(vhw, vhb, vow, vob),
-    )
+    new_params, new_velocity = {}, {}
+    for key in _CHECKPOINT_KEYS:
+        v = momentum * getattr(velocity, key) - learning_rate * getattr(grads, key)
+        new_params[key] = getattr(params, key) + v
+        new_velocity[key] = v
+    return EncoderParams(**new_params), EncoderParams(**new_velocity)
 
 
 def encode(params: EncoderParams, features: np.ndarray) -> np.ndarray:
@@ -353,9 +345,6 @@ def train(
     return params, TrainHistory(records=records, margins=margins)
 
 
-_CHECKPOINT_KEYS = ("hidden_weights", "hidden_bias", "output_weights", "output_bias")
-
-
 def save_checkpoint(
     path, params: EncoderParams, config: TrainConfig, epoch: int
 ) -> None:
@@ -369,19 +358,7 @@ def save_checkpoint(
         "code_bits": params.code_bits,
         "seed": config.seed,
         "epoch": epoch,
-        "config": {
-            "code_bits": config.code_bits,
-            "hidden_dim": config.hidden_dim,
-            "learning_rate": config.learning_rate,
-            "momentum": config.momentum,
-            "quant_weight": config.quant_weight,
-            "batch_size": config.batch_size,
-            "epochs": config.epochs,
-            "seed": config.seed,
-            "classwise": config.classwise,
-            "margin_override": config.margin_override,
-            "center_momentum": config.center_momentum,
-        },
+        "config": asdict(config),
     }
     for key in _CHECKPOINT_KEYS:
         doc[key] = [float(v) for v in getattr(params, key).ravel()]

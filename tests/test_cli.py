@@ -68,6 +68,22 @@ def test_unknown_flag_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("module", ["hashbound", "hashbound.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", module, "bound", "--bits", "12", "--classes", "10", *flags],
+            capture_output=True, text=True, env=_SUBPROCESS_ENV,
+        )
+
+    ok = run()
+    assert ok.returncode == 0
+    assert "negative margin:    -6" in ok.stdout
+    bad = run("--bogus")
+    assert bad.returncode == 1
+    assert "error" in bad.stderr and "Traceback" not in bad.stderr
+
+
 # --- gen-data ----------------------------------------------------------------
 
 def test_gen_data_round_trip(tmp_path):
@@ -116,6 +132,16 @@ def test_train_invalid_config_no_partial_outputs(tmp_path, capsys):
     assert code == 1
     assert not out_dir.exists()
     assert "parity" in capsys.readouterr().err
+    # a MAP@k cutoff below 1 is refused before any training, flag or file
+    assert main(["train", "--out-dir", str(out_dir), *FAST_TRAIN, "--k", "0"]) == 1
+    assert not out_dir.exists()
+    assert "--k" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": -1}))
+    assert main(["train", "--config", str(config), "--out-dir", str(out_dir),
+                 *FAST_TRAIN]) == 1
+    assert not out_dir.exists()
+    assert "--k" in capsys.readouterr().err
 
 
 def test_train_records_classwise_flag(tmp_path):
@@ -208,6 +234,16 @@ def test_eval_records_cutoff(tmp_path):
     report = json.loads((eval_dir / "report.json").read_text())
     assert report["k"] == 10
     assert report["map_at_k"] is not None
+
+
+def test_eval_invalid_cutoff_no_partial_outputs(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert run_train(out_dir) == 0
+    eval_dir = tmp_path / "never"
+    assert main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
+                 "--out-dir", str(eval_dir), "--k", "0", *FAST_DATA]) == 1
+    assert not eval_dir.exists()
+    assert "--k" in capsys.readouterr().err
 
 
 def test_eval_corrupted_checkpoint(tmp_path, capsys):
@@ -314,6 +350,28 @@ def test_sweep_requires_exactly_one_axis(tmp_path, capsys):
                  "--out", str(tmp_path / "s.csv"), *FAST_TRAIN]) == 1
 
 
+def test_sweep_rejects_empty_seed_list(tmp_path, capsys):
+    sweep_csv = tmp_path / "seeds.csv"
+    assert main(["sweep", "--margins=-2", "--seeds", "", "--out", str(sweep_csv),
+                 *FAST_TRAIN]) == 1
+    assert not sweep_csv.exists()
+    assert "empty" in capsys.readouterr().err
+
+
+def test_sweep_more_classes_than_codewords(tmp_path, capsys):
+    # 6 classes cannot be placed in 2**2 words: no margin is bound-derived,
+    # but an explicit margin trains just as `train --margin-override` does
+    sweep_csv = tmp_path / "tiny.csv"
+    argv = [*FAST_TRAIN, "--bits", "2", "--classes", "6", "--lr", "0.01"]
+    assert main(["train", "--out-dir", str(tmp_path / "run"), *argv,
+                 "--margin-override", "0"]) == 0
+    assert main(["sweep", "--margins=-2,0", "--out", str(sweep_csv), *argv]) == 0
+    rows = list(csv.DictReader(sweep_csv.read_text().splitlines()))
+    assert [(r["value"], r["status"], r["bound_derived"]) for r in rows] == [
+        ("-2", "ok", "False"), ("0", "ok", "False"),
+    ]
+
+
 def test_sweep_multi_seed_rows(tmp_path):
     sweep_csv = tmp_path / "seeds.csv"
     assert main(["sweep", "--margins=-4", "--seeds", "0,1",
@@ -398,3 +456,11 @@ def test_config_file_invalid_json(tmp_path, capsys):
     config.write_text("{not json")
     assert main(["bound", "--config", str(config)]) == 1
     assert "JSON" in capsys.readouterr().err
+
+
+def test_config_file_not_utf8(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(b"\xff\xfe{")
+    assert main(["bound", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "is not valid JSON" in err and "Traceback" not in err

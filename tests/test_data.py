@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hashbound.prng import Xorshift64Star
 from hashbound.data import (
     FeatureDataset,
     SplitSpec,
@@ -43,6 +44,35 @@ def test_synthetic_centers_on_requested_sphere():
     for c in range(5):
         center = dataset.features[dataset.labels == c][0]
         assert np.linalg.norm(center) == pytest.approx(7.5)
+
+
+def row_by_row_synthetic(num_classes, per_class, dim, center_scale, noise_sigma, seed):
+    """The former generator: one ``normals(dim)`` draw per row."""
+    rng = Xorshift64Star(seed)
+    centers = np.zeros((num_classes, dim))
+    for c in range(num_classes):
+        direction = rng.normals(dim)
+        centers[c] = direction / float(np.linalg.norm(direction)) * center_scale
+    features = np.zeros((num_classes * per_class, dim))
+    labels = np.zeros(num_classes * per_class, dtype=np.int64)
+    row = 0
+    for c in range(num_classes):
+        for _ in range(per_class):
+            features[row] = centers[c] + noise_sigma * rng.normals(dim)
+            labels[row] = c
+            row += 1
+    return features, labels
+
+
+@pytest.mark.parametrize("shape", [(10, 100, 32), (3, 7, 5), (2, 1, 1), (4, 3, 17)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_synthetic_matches_row_by_row_oracle(shape, seed):
+    # odd dims make Box-Muller's cached spare normal cross row boundaries
+    dataset = generate_synthetic(*shape, center_scale=3.5, noise_sigma=0.7, seed=seed)
+    features, labels = row_by_row_synthetic(*shape, 3.5, 0.7, seed)
+    assert np.array_equal(dataset.features.view(np.uint64), features.view(np.uint64))
+    assert np.array_equal(dataset.labels, labels)
+    assert dataset.labels.dtype == np.int64
 
 
 def test_synthetic_separability_grows_with_scale():
