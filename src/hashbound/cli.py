@@ -6,7 +6,14 @@ them as ``hashbound CMD`` or ``python -m hashbound CMD``.  Any subcommand
 accepts ``--config PATH`` pointing at a JSON object whose keys are the long
 flag names with underscores; explicit flags override the file.  A config
 file that cannot be decoded or parsed as JSON, names an unknown field or
-gives a value of the wrong type is a usage error.
+gives a value of the wrong type is a usage error.  ``--out`` files and
+``--out-dir`` directories get their missing parent directories created.
+
+``sweep`` trains its points in one spawned process per available CPU (no
+more than there are points), each process with one BLAS thread; its CSV rows
+and printed lines keep the order of the points.  A script that calls
+``main(["sweep", ...])`` must do so under ``if __name__ == "__main__":``,
+because spawned workers import the main module again.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 All outputs are machine readable (JSON / CSV) and byte-identical across
@@ -19,7 +26,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -267,6 +276,13 @@ def _evaluate(
     )
 
 
+def _output_file(text: str) -> Path:
+    """The path of an ``--out`` file, its directory created as for ``--out-dir``."""
+    path = Path(text)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_json(path: Path, doc: dict) -> None:
     with atomic_open(path) as fh:
         fh.write(json.dumps(doc, indent=1) + "\n")
@@ -323,7 +339,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             value = "yes" if value else "no"
         print(f"{label + ':':<20}{value}")
     if args.out:
-        _write_json(Path(args.out), doc)
+        _write_json(_output_file(args.out), doc)
     return EXIT_OK
 
 
@@ -331,8 +347,9 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     _require(args, "out")
     if args.data is not None:
         raise _UsageError("gen-data generates synthetic data; --data makes no sense")
+    out = _output_file(args.out)
     dataset = _load_dataset(args)
-    save_csv(Path(args.out), dataset)
+    save_csv(out, dataset)
     print(f"wrote {len(dataset)} rows x {dataset.dim} features to {args.out}")
     return EXIT_OK
 
@@ -416,6 +433,80 @@ def _parse_number_list(text: str, cast) -> list:
         raise _UsageError(f"could not parse list {text!r}")
 
 
+# The splits every sweep point trains on, set once per worker process.
+_sweep_splits: DatasetSplits | None = None
+
+
+def _init_sweep_worker(splits: DatasetSplits | None) -> None:
+    global _sweep_splits
+    _sweep_splits = splits
+
+
+def _sweep_point(config: TrainConfig) -> float | str:
+    """Train one point: its query MAP, or the message of its divergence."""
+    try:
+        params, _ = train(_sweep_splits, config)
+    except TrainingDivergedError as exc:
+        return str(exc)
+    return _evaluate(params, _sweep_splits, None).map
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _sweep_results(splits: DatasetSplits, configs: list[TrainConfig]):
+    """Yield ``_sweep_point`` of each config, in order.
+
+    The points run in one spawned process per available CPU (no more than
+    there are points), each with one BLAS thread so the processes do not
+    oversubscribe the cores; a single worker runs them in this process.
+    """
+    workers = min(len(configs), _available_cpus())
+    if workers == 1:
+        _init_sweep_worker(splits)
+        try:
+            yield from map(_sweep_point, configs)
+        finally:
+            _init_sweep_worker(None)
+        return
+    # Imported here: at module level they would slow every CLI start.
+    import concurrent.futures
+    import multiprocessing
+
+    with concurrent.futures.ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_init_sweep_worker,
+        initargs=(splits,),
+    ) as pool:
+        # map submits every point, which starts every worker, before it returns
+        with _one_blas_thread():
+            results = pool.map(_sweep_point, configs)
+        yield from results
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread counts to 1 for processes started inside the block."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "out")
     if (args.margins is None) == (args.quant_weights is None):
@@ -452,19 +543,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             BoundProblem(code_bits=args.bits, num_classes=dataset.num_classes)
         ).negative_margin
 
+    out = _output_file(args.out)
+
     rows = []
-    for value, seed, cfg in configs:
-        try:
-            params, _ = train(splits, cfg)
-        except TrainingDivergedError as exc:
-            print(f"{parameter}={value} seed={seed}: {exc}", file=sys.stderr)
+    results = _sweep_results(splits, [cfg for _, _, cfg in configs])
+    # strict=True also runs the generator to its end, which shuts the pool down
+    for (value, seed, _), result in zip(configs, results, strict=True):
+        if isinstance(result, str):
+            print(f"{parameter}={value} seed={seed}: {result}", file=sys.stderr)
             rows.append([parameter, value, seed, "", "failed", value == derived])
             continue
-        result_map = _evaluate(params, splits, None).map
-        rows.append([parameter, value, seed, repr(result_map), "ok", value == derived])
-        print(f"{parameter}={value} seed={seed}: MAP {result_map:.4f}")
+        rows.append([parameter, value, seed, repr(result), "ok", value == derived])
+        print(f"{parameter}={value} seed={seed}: MAP {result:.4f}")
 
-    with atomic_open(args.out) as fh:
+    with atomic_open(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "value", "seed", "map", "status", "bound_derived"])
         writer.writerows(rows)

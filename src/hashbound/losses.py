@@ -15,7 +15,8 @@ binarization; its gradient treats sgn(u_n) as a constant.  All values and
 gradients are accumulated in float64.
 
 A negative margin of exactly 0 would zero a denominator; that case keeps the
-hinge location and substitutes a unit denominator (logged once per process).
+hinge location and substitutes a unit denominator, logged once per process:
+so once per worker process in a pooled ``sweep``.
 """
 
 from __future__ import annotations

@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from hashbound import cli
 from hashbound.cli import main
 from hashbound.data import load_csv
 
@@ -378,6 +380,103 @@ def test_sweep_multi_seed_rows(tmp_path):
                  "--out", str(sweep_csv), *FAST_TRAIN]) == 0
     lines = sweep_csv.read_text().splitlines()[1:]
     assert [line.split(",")[2] for line in lines] == ["0", "1"]
+
+
+def sweep_on_cpus(monkeypatch, capfd, cpus, out, argv):
+    """Run a sweep as if ``cpus`` CPUs were available: exit code, CSV, stdout, stderr.
+
+    ``capfd`` captures at the file-descriptor level, so anything a worker
+    process writes shows up too.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    code = main(["sweep", *argv, "--out", str(out)])
+    captured = capfd.readouterr()
+    return code, out.read_bytes() if out.exists() else None, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,expected_code,pooled_cpus",
+    [
+        (["--quant-weights", "0.002,1e12", *FAST_TRAIN], 2, [2]),
+        # 4 workers: more than the cores of a small machine
+        (["--margins=-8,-6,-4", "--seeds", "0,3", *FAST_TRAIN], 0, [2, 4]),
+    ],
+    ids=["failing-point", "multi-seed"],
+)
+def test_sweep_pool_output_matches_one_worker(tmp_path, monkeypatch, capfd,
+                                              argv, expected_code, pooled_cpus):
+    one = sweep_on_cpus(monkeypatch, capfd, 1, tmp_path / "one.csv", argv)
+    assert one[0] == expected_code
+    for cpus in pooled_cpus:
+        assert sweep_on_cpus(monkeypatch, capfd, cpus, tmp_path / f"{cpus}.csv", argv) == one
+    # a header, then one CSV row and one printed line per point
+    assert one[1].count(b"\r\n") == 1 + len(one[2].splitlines()) + len(one[3].splitlines())
+
+
+def spy_on_blas_env(monkeypatch):
+    """Wrap ``cli._one_blas_thread``; the list gets the BLAS variables set inside it."""
+    entered = []
+    real = cli._one_blas_thread
+
+    @contextmanager
+    def spy():
+        with real():
+            entered.append({name: os.environ.get(name) for name in cli._BLAS_THREAD_VARS})
+            yield
+
+    monkeypatch.setattr(cli, "_one_blas_thread", spy)
+    return entered
+
+
+def test_pooled_sweep_leaves_environ_unchanged(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "")
+    entered = spy_on_blas_env(monkeypatch)
+    before = dict(os.environ)
+    assert main(["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"),
+                 *FAST_TRAIN]) == 0
+    assert dict(os.environ) == before
+    # the pool started its workers with one BLAS thread each
+    assert entered == [dict.fromkeys(cli._BLAS_THREAD_VARS, "1")]
+
+
+def test_sweep_one_worker_runs_in_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    entered = spy_on_blas_env(monkeypatch)
+    assert main(["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"),
+                 *FAST_TRAIN]) == 0
+    assert entered == []
+    assert cli._sweep_splits is None
+
+
+def test_sweep_value_error_in_a_worker_is_a_usage_error(tmp_path, monkeypatch, capfd):
+    # empty validation splits pass the config checks and fail inside train()
+    argv = ["--margins=-8,-6", *FAST_TRAIN, "--val-per-class", "0"]
+    one = sweep_on_cpus(monkeypatch, capfd, 1, tmp_path / "one.csv", argv)
+    two = sweep_on_cpus(monkeypatch, capfd, 2, tmp_path / "two.csv", argv)
+    assert one == two
+    code, table, out, err = two
+    assert (code, table, out) == (1, None, "")
+    assert err == "error: training needs nonempty database and validation splits\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "--margins=-6", *FAST_TRAIN],
+        ["gen-data", *FAST_DATA[:6]],
+        ["bound", "--bits", "12", "--classes", "10"],
+    ],
+    ids=["sweep", "gen-data", "bound"],
+)
+def test_out_file_into_missing_directory(tmp_path, capsys, command):
+    out = tmp_path / "new" / "dir" / "out.file"
+    assert main([*command, "--out", str(out)]) == 0
+    assert out.is_file()
+    assert sorted(p.name for p in out.parent.iterdir()) == ["out.file"]
 
 
 # --- config file ----------------------------------------------------------------------
