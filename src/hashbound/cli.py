@@ -10,10 +10,12 @@ gives a value of the wrong type is a usage error.  ``--out`` files and
 ``--out-dir`` directories get their missing parent directories created.
 
 ``sweep`` trains its points in one spawned process per available CPU (no
-more than there are points), each process with one BLAS thread; its CSV rows
-and printed lines keep the order of the points.  A script that calls
-``main(["sweep", ...])`` must do so under ``if __name__ == "__main__":``,
-because spawned workers import the main module again.
+more than there are points, nor than processes of this one's size fit in free
+memory), each process with one BLAS thread; its CSV rows and printed lines
+keep the order of the points.  A worker process that dies is a runtime
+failure.  A script that calls ``main(["sweep", ...])`` must do so under
+``if __name__ == "__main__":``, because spawned workers import the main
+module again.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 All outputs are machine readable (JSON / CSV) and byte-identical across
@@ -65,6 +67,10 @@ EXIT_RUNTIME = 2
 
 class _UsageError(Exception):
     pass
+
+
+class _WorkerDied(RuntimeError):
+    """A sweep worker process ended without returning its result."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -347,9 +353,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     _require(args, "out")
     if args.data is not None:
         raise _UsageError("gen-data generates synthetic data; --data makes no sense")
-    out = _output_file(args.out)
     dataset = _load_dataset(args)
-    save_csv(out, dataset)
+    save_csv(_output_file(args.out), dataset)
     print(f"wrote {len(dataset)} rows x {dataset.dim} features to {args.out}")
     return EXIT_OK
 
@@ -458,14 +463,33 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _processes_fitting_in_free_memory() -> int | None:
+    """How many processes the size of this one fit in free memory; None if unknown.
+
+    A sweep worker imports the same modules, holds its own copy of the splits
+    and trains what this process would, so this process's peak RSS stands in
+    for a worker's.
+    """
+    try:
+        import resource
+
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        size = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
+    except (ImportError, ValueError, OSError):  # no such counters on this platform
+        return None
+    return max(1, free // size)
+
+
 def _sweep_results(splits: DatasetSplits, configs: list[TrainConfig]):
     """Yield ``_sweep_point`` of each config, in order.
 
     The points run in one spawned process per available CPU (no more than
-    there are points), each with one BLAS thread so the processes do not
-    oversubscribe the cores; a single worker runs them in this process.
+    there are points, nor than fit in free memory), each with one BLAS thread
+    so the processes do not oversubscribe the cores; a single worker runs
+    them in this process.
     """
-    workers = min(len(configs), _available_cpus())
+    workers = min(len(configs), _available_cpus(),
+                  _processes_fitting_in_free_memory() or len(configs))
     if workers == 1:
         _init_sweep_worker(splits)
         try:
@@ -477,16 +501,19 @@ def _sweep_results(splits: DatasetSplits, configs: list[TrainConfig]):
     import concurrent.futures
     import multiprocessing
 
-    with concurrent.futures.ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=_init_sweep_worker,
-        initargs=(splits,),
-    ) as pool:
-        # map submits every point, which starts every worker, before it returns
-        with _one_blas_thread():
-            results = pool.map(_sweep_point, configs)
-        yield from results
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_init_sweep_worker,
+            initargs=(splits,),
+        ) as pool:
+            # map submits every point, which starts every worker, before it returns
+            with _one_blas_thread():
+                results = pool.map(_sweep_point, configs)
+            yield from results
+    except concurrent.futures.BrokenExecutor as exc:
+        raise _WorkerDied(f"a sweep worker process died: {exc}") from exc
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -581,7 +608,7 @@ def main(argv: list[str] | None = None) -> int:
         # invalid domain values surfacing from the library are config errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingDivergedError, OSError) as exc:
+    except (TrainingDivergedError, OSError, _WorkerDied) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

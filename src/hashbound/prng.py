@@ -5,10 +5,6 @@ The generator is xorshift64* (Marsaglia xorshift with shifts 12/25/27 and the
 splitmix64 so that nearby seeds and stream ids give unrelated sequences.  All
 randomness in this package (weight init, epoch shuffling, synthetic data,
 split sampling) flows through this class, never through global RNG state.
-
-The bulk draws (``uniforms``, ``normals``, ``permutation``) inline the
-xorshift64* step instead of calling ``next_u64`` per draw; they return the
-same values and leave the same state as the scalar loops.
 """
 
 from __future__ import annotations
@@ -59,16 +55,7 @@ class Xorshift64Star:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
-        """``n`` draws of :meth:`uniform`, with the xorshift64* step inlined."""
-        s = self._state
-        out = []
-        for _ in range(n):
-            s ^= s >> 12
-            s = (s ^ (s << 25)) & _MASK64
-            s ^= s >> 27
-            out.append((((s * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * 2.0**-53)
-        self._state = s
-        return np.array(out, dtype=np.float64)
+        return np.array([self.uniform() for _ in range(n)], dtype=np.float64)
 
     def normal(self) -> float:
         """Standard normal via Box-Muller; partner value is cached."""
@@ -83,29 +70,7 @@ class Xorshift64Star:
         return radius * math.cos(angle)
 
     def normals(self, n: int) -> np.ndarray:
-        """``n`` draws of :meth:`normal`, the spare included, with the step inlined."""
-        out = []
-        if n > 0 and self._spare_normal is not None:
-            out.append(self._spare_normal)
-            self._spare_normal = None
-        s = self._state
-        while len(out) < n:
-            s ^= s >> 12
-            s = (s ^ (s << 25)) & _MASK64
-            s ^= s >> 27
-            u1 = 1.0 - (((s * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * 2.0**-53
-            s ^= s >> 12
-            s = (s ^ (s << 25)) & _MASK64
-            s ^= s >> 27
-            u2 = (((s * 0x2545F4914F6CDD1D) & _MASK64) >> 11) * 2.0**-53
-            radius = math.sqrt(-2.0 * math.log(u1))
-            angle = 2.0 * math.pi * u2
-            out.append(radius * math.cos(angle))
-            out.append(radius * math.sin(angle))
-        self._state = s
-        if len(out) > n:
-            self._spare_normal = out.pop()
-        return np.array(out, dtype=np.float64)
+        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
 
     def randbelow(self, n: int) -> int:
         """Integer in [0, n).  Plain modulo; bias is ~n/2**64, negligible here."""
@@ -114,14 +79,9 @@ class Xorshift64Star:
         return self.next_u64() % n
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n), drawing as :meth:`randbelow` does."""
+        """Fisher-Yates permutation of range(n)."""
         idx = list(range(n))
-        s = self._state
         for i in range(n - 1, 0, -1):
-            s ^= s >> 12
-            s = (s ^ (s << 25)) & _MASK64
-            s ^= s >> 27
-            j = ((s * 0x2545F4914F6CDD1D) & _MASK64) % (i + 1)
+            j = self.randbelow(i + 1)
             idx[i], idx[j] = idx[j], idx[i]
-        self._state = s
         return np.array(idx, dtype=np.int64)

@@ -463,6 +463,32 @@ def test_sweep_value_error_in_a_worker_is_a_usage_error(tmp_path, monkeypatch, c
     assert err == "error: training needs nonempty database and validation splits\n"
 
 
+def die_abruptly(config):
+    """Stands in for ``cli._sweep_point``: the worker process ends without a result."""
+    os._exit(3)
+
+
+def test_sweep_worker_death_is_a_runtime_error(tmp_path, monkeypatch, capfd):
+    # the pool pickles the function by name, so the workers run this one
+    monkeypatch.setattr(cli, "_sweep_point", die_abruptly)
+    code, table, out, err = sweep_on_cpus(monkeypatch, capfd, 2, tmp_path / "s.csv",
+                                          ["--margins=-8,-6", *FAST_TRAIN])
+    assert (code, table, out) == (2, None, "")
+    assert err.startswith("error: a sweep worker process died: ")
+    assert err.count("\n") == 1
+
+
+def test_sweep_runs_in_process_when_free_memory_fits_one_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    real_sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_AVPHYS_PAGES"
+                        else real_sysconf(name))
+    entered = spy_on_blas_env(monkeypatch)
+    assert main(["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"),
+                 *FAST_TRAIN]) == 0
+    assert entered == []
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -478,6 +504,21 @@ def test_out_file_into_missing_directory(tmp_path, capsys, command):
     assert out.is_file()
     assert sorted(p.name for p in out.parent.iterdir()) == ["out.file"]
 
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["gen-data", *FAST_DATA[:4], "--classes", "1"], "two classes"),
+        (["sweep", "--margins=-7", *FAST_TRAIN], "parity"),
+    ],
+    ids=["gen-data", "sweep"],
+)
+def test_out_file_usage_error_creates_no_directory(tmp_path, capsys, command, message):
+    out = tmp_path / "new" / "dir" / "out.file"
+    assert main([*command, "--out", str(out)]) == 1
+    assert not (tmp_path / "new").exists()
+    assert message in capsys.readouterr().err
 
 # --- config file ----------------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Bulk PRNG draws against the scalar stream they inline."""
+"""Bulk PRNG draws against the scalar stream they are made of."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hashbound.prng import Xorshift64Star
 
 
 def scalar_permutation(rng, n):
-    """Fisher-Yates with one ``randbelow`` call per swap, as before the inlining."""
+    """Fisher-Yates with one ``randbelow`` call per swap."""
     idx = list(range(n))
     for i in range(n - 1, 0, -1):
         j = rng.randbelow(i + 1)
@@ -42,13 +42,3 @@ def test_bulk_draws_match_scalar_stream(seed, stream, n):
         assert end_state(bulk) == end_state(scalar)
     assert bulk.next_u64() == scalar.next_u64()
 
-
-def test_normals_spare_crosses_calls():
-    rng = Xorshift64Star(7)
-    first = rng.normals(3)
-    assert rng._spare_normal is not None
-    second = rng.normals(1)
-    assert rng._spare_normal is None
-    whole = Xorshift64Star(7).normals(4)
-    assert np.array_equal(np.concatenate([first, second]).view(np.uint64),
-                          whole.view(np.uint64))
