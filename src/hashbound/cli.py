@@ -10,12 +10,12 @@ gives a value of the wrong type is a usage error.  ``--out`` files and
 ``--out-dir`` directories get their missing parent directories created.
 
 ``sweep`` trains its points in one spawned process per available CPU (no
-more than there are points, nor than processes of this one's size fit in free
-memory), each process with one BLAS thread; its CSV rows and printed lines
-keep the order of the points.  A worker process that dies is a runtime
-failure.  A script that calls ``main(["sweep", ...])`` must do so under
-``if __name__ == "__main__":``, because spawned workers import the main
-module again.
+more than there are points, nor than processes of the size this one has when
+the sweep starts fit in free memory), each process with one BLAS thread; its
+CSV rows and printed lines keep the order of the points.  A worker process
+that dies is a runtime failure.  A script that calls ``main(["sweep", ...])``
+must do so under ``if __name__ == "__main__":``, because spawned workers
+import the main module again.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 All outputs are machine readable (JSON / CSV) and byte-identical across
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -54,6 +55,7 @@ from .encoder import (
     load_checkpoint,
     save_checkpoint,
     train,
+    training_margins,
 )
 from .evaluation import EvalReport, mean_average_precision
 from .fileio import atomic_open
@@ -69,8 +71,8 @@ class _UsageError(Exception):
     pass
 
 
-class _WorkerDied(RuntimeError):
-    """A sweep worker process ended without returning its result."""
+class _RuntimeFailure(Exception):
+    """A runtime failure that ``main`` reports as ``error: <message>``, exit 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,6 +296,13 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write(json.dumps(doc, indent=1) + "\n")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_report(out_dir: Path, report: EvalReport, meta: dict) -> None:
     """Write ``report.json`` (timestamped metadata) and ``precision_curve.csv``."""
     doc = asdict(report)
@@ -303,22 +312,11 @@ def _write_report(out_dir: Path, report: EvalReport, meta: dict) -> None:
         **meta,
     }
     _write_json(out_dir / "report.json", doc)
-    with atomic_open(out_dir / "precision_curve.csv") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "precision"])
-        for cutoff, value in report.precision_curve:
-            writer.writerow([cutoff, repr(value)])
-
-
-def _write_history_csv(path: Path, history) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "pairwise", "quan", "total", "val_map", "min_dist"])
-        for r in history.records:
-            writer.writerow(
-                [r.epoch, repr(r.pairwise), repr(r.quantization), repr(r.total),
-                 repr(r.val_map), r.min_center_distance]
-            )
+    _write_csv(
+        out_dir / "precision_curve.csv",
+        ["k", "precision"],
+        ([cutoff, repr(value)] for cutoff, value in report.precision_curve),
+    )
 
 
 _BOUND_LABELS = (
@@ -365,13 +363,22 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _train_config(args)
     dataset = _load_dataset(args)
     splits = _make_splits(args, dataset)
+    training_margins(splits, config)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params, history = train(splits, config)
 
     save_checkpoint(out_dir / "checkpoint.json", params, config, epoch=config.epochs)
-    _write_history_csv(out_dir / "history.csv", history)
+    _write_csv(
+        out_dir / "history.csv",
+        ["epoch", "pairwise", "quan", "total", "val_map", "min_dist"],
+        (
+            [r.epoch, repr(r.pairwise), repr(r.quantization), repr(r.total),
+             repr(r.val_map), r.min_center_distance]
+            for r in history.records
+        ),
+    )
     _write_json(
         out_dir / "splits.json",
         {
@@ -407,21 +414,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise _UsageError(f"checkpoint not found: {path}")
     try:
         params, meta = load_checkpoint(path)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: corrupted checkpoint {path}: line {exc.lineno} "
-            f"column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_RUNTIME
+    except json.JSONDecodeError as exc:  # a ValueError, which main calls a usage error
+        raise _RuntimeFailure(
+            f"corrupted checkpoint {path}: line {exc.lineno} "
+            f"column {exc.colno}: {exc.msg}"
+        ) from exc
     dataset = _load_dataset(args)
     if dataset.dim != params.input_dim:
-        print(
-            f"error: checkpoint expects {params.input_dim}-d features, "
-            f"dataset has {dataset.dim}",
-            file=sys.stderr,
+        raise _RuntimeFailure(
+            f"checkpoint expects {params.input_dim}-d features, "
+            f"dataset has {dataset.dim}"
         )
-        return EXIT_RUNTIME
     splits = _make_splits(args, dataset)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -438,22 +441,13 @@ def _parse_number_list(text: str, cast) -> list:
         raise _UsageError(f"could not parse list {text!r}")
 
 
-# The splits every sweep point trains on, set once per worker process.
-_sweep_splits: DatasetSplits | None = None
-
-
-def _init_sweep_worker(splits: DatasetSplits | None) -> None:
-    global _sweep_splits
-    _sweep_splits = splits
-
-
-def _sweep_point(config: TrainConfig) -> float | str:
+def _sweep_point(splits: DatasetSplits, config: TrainConfig) -> float | str:
     """Train one point: its query MAP, or the message of its divergence."""
     try:
-        params, _ = train(_sweep_splits, config)
+        params, _ = train(splits, config)
     except TrainingDivergedError as exc:
         return str(exc)
-    return _evaluate(params, _sweep_splits, None).map
+    return _evaluate(params, splits, None).map
 
 
 def _available_cpus() -> int:
@@ -467,15 +461,16 @@ def _processes_fitting_in_free_memory() -> int | None:
     """How many processes the size of this one fit in free memory; None if unknown.
 
     A sweep worker imports the same modules, holds its own copy of the splits
-    and trains what this process would, so this process's peak RSS stands in
-    for a worker's.
+    and trains what this process would, so this process's current RSS stands
+    in for a worker's.  Not its peak: Linux carries ``ru_maxrss`` across
+    ``exec``, so the peak can be the launching process's.
     """
     try:
-        import resource
-
-        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        size = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
-    except (ImportError, ValueError, OSError):  # no such counters on this platform
+        page = os.sysconf("SC_PAGE_SIZE")
+        free = os.sysconf("SC_AVPHYS_PAGES") * page
+        with open("/proc/self/statm") as fh:
+            size = int(fh.read().split()[1]) * page  # resident pages
+    except (ValueError, OSError):  # no such counters on this platform
         return None
     return max(1, free // size)
 
@@ -488,14 +483,11 @@ def _sweep_results(splits: DatasetSplits, configs: list[TrainConfig]):
     so the processes do not oversubscribe the cores; a single worker runs
     them in this process.
     """
+    point = functools.partial(_sweep_point, splits)
     workers = min(len(configs), _available_cpus(),
                   _processes_fitting_in_free_memory() or len(configs))
     if workers == 1:
-        _init_sweep_worker(splits)
-        try:
-            yield from map(_sweep_point, configs)
-        finally:
-            _init_sweep_worker(None)
+        yield from map(point, configs)
         return
     # Imported here: at module level they would slow every CLI start.
     import concurrent.futures
@@ -505,15 +497,13 @@ def _sweep_results(splits: DatasetSplits, configs: list[TrainConfig]):
         with concurrent.futures.ProcessPoolExecutor(
             workers,
             mp_context=multiprocessing.get_context("spawn"),
-            initializer=_init_sweep_worker,
-            initargs=(splits,),
         ) as pool:
             # map submits every point, which starts every worker, before it returns
             with _one_blas_thread():
-                results = pool.map(_sweep_point, configs)
+                results = pool.map(point, configs)
             yield from results
     except concurrent.futures.BrokenExecutor as exc:
-        raise _WorkerDied(f"a sweep worker process died: {exc}") from exc
+        raise _RuntimeFailure(f"a sweep worker process died: {exc}") from exc
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -562,6 +552,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     dataset = _load_dataset(args)
     splits = _make_splits(args, dataset)
+    for _, _, config in configs:
+        training_margins(splits, config)
     # With more classes than codewords no margin is bound-derived (as in
     # EvalReport.target_distance), but any explicit margin still trains.
     derived = None
@@ -583,10 +575,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows.append([parameter, value, seed, repr(result), "ok", value == derived])
         print(f"{parameter}={value} seed={seed}: MAP {result:.4f}")
 
-    with atomic_open(out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "value", "seed", "map", "status", "bound_derived"])
-        writer.writerows(rows)
+    _write_csv(out, ["parameter", "value", "seed", "map", "status", "bound_derived"], rows)
     return EXIT_RUNTIME if any(row[4] == "failed" for row in rows) else EXIT_OK
 
 
@@ -608,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
         # invalid domain values surfacing from the library are config errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingDivergedError, OSError, _WorkerDied) as exc:
+    except (TrainingDivergedError, OSError, _RuntimeFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -41,6 +41,7 @@ __all__ = [
     "zeros_like_params",
     "encode",
     "train",
+    "training_margins",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -231,10 +232,19 @@ class TrainHistory:
     margins: MarginSet | None = None
 
 
-def _resolve_margins(config: TrainConfig, num_classes: int) -> MarginSet:
+def training_margins(splits: DatasetSplits, config: TrainConfig) -> MarginSet:
+    """The loss margins ``train`` uses; raises ValueError where it cannot train.
+
+    Checks that the splits can be trained on, then takes the override margin,
+    or the bound-derived one for the dataset's class count.
+    """
+    if len(np.unique(splits.dataset.labels[splits.train])) < 2:
+        raise ValueError("training split must contain at least two classes")
+    if len(splits.database) == 0 or len(splits.validation) == 0:
+        raise ValueError("training needs nonempty database and validation splits")
     if config.margin_override is not None:
         return margins_from_negative(config.code_bits, config.margin_override)
-    return derive_margins(BoundProblem(config.code_bits, num_classes))
+    return derive_margins(BoundProblem(config.code_bits, splits.dataset.num_classes))
 
 
 def train(
@@ -255,17 +265,13 @@ def train(
     from one ``mean_average_precision`` call on packed word matrices.
 
     Raises:
+        ValueError: where ``training_margins`` does.
         TrainingDivergedError: if any loss value stops being finite.
     """
+    margins = training_margins(splits, config)
     dataset = splits.dataset
     train_labels = dataset.labels[splits.train]
     num_classes = dataset.num_classes
-    if len(np.unique(train_labels)) < 2:
-        raise ValueError("training split must contain at least two classes")
-    if len(splits.database) == 0 or len(splits.validation) == 0:
-        raise ValueError("training needs nonempty database and validation splits")
-
-    margins = _resolve_margins(config, num_classes)
     params = init_params(dataset.dim, config.hidden_dim, config.code_bits, config.seed)
     velocity = zeros_like_params(params)
     shuffle_rng = Xorshift64Star(config.seed, stream=_STREAM_SHUFFLE)
@@ -330,7 +336,6 @@ def train(
                 dataset.labels[splits.database],
                 None,
                 config.code_bits,
-                include_per_query=False,
             )
             records.append(
                 EpochRecord(

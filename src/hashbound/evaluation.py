@@ -132,7 +132,7 @@ class EvalReport:
     precision_curve: list[tuple[int, float]]
     min_interclass_distance: int | None
     target_distance: int | None
-    per_query_ap: list[float] | None
+    per_query_ap: list[float]
 
 
 def mean_average_precision(
@@ -142,7 +142,6 @@ def mean_average_precision(
     database_labels: np.ndarray,
     k: int | None,
     length: int,
-    include_per_query: bool = True,
 ) -> EvalReport:
     """Mean AP over queries with relevance = label equality.
 
@@ -207,5 +206,5 @@ def mean_average_precision(
         precision_curve=curve,
         min_interclass_distance=min_dist,
         target_distance=target,
-        per_query_ap=per_query.tolist() if include_per_query else None,
+        per_query_ap=per_query.tolist(),
     )

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -144,6 +145,13 @@ def test_train_invalid_config_no_partial_outputs(tmp_path, capsys):
                  *FAST_TRAIN]) == 1
     assert not out_dir.exists()
     assert "--k" in capsys.readouterr().err
+    # train()'s own checks on the splits and the margins also run first
+    assert run_train(out_dir, ["--val-per-class", "0"]) == 1
+    assert not out_dir.exists()
+    assert "nonempty database" in capsys.readouterr().err
+    assert run_train(out_dir, ["--bits", "2", "--classes", "6"]) == 1
+    assert not out_dir.exists()
+    assert "cannot place 6 distinct codewords" in capsys.readouterr().err
 
 
 def test_train_records_classwise_flag(tmp_path):
@@ -449,21 +457,39 @@ def test_sweep_one_worker_runs_in_process(tmp_path, monkeypatch):
     assert main(["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"),
                  *FAST_TRAIN]) == 0
     assert entered == []
-    assert cli._sweep_splits is None
 
 
 def test_sweep_value_error_in_a_worker_is_a_usage_error(tmp_path, monkeypatch, capfd):
-    # empty validation splits pass the config checks and fail inside train()
+    # empty validation splits pass the config checks; train()'s own check
+    # refuses them in this process, before any worker starts
     argv = ["--margins=-8,-6", *FAST_TRAIN, "--val-per-class", "0"]
+    entered = spy_on_blas_env(monkeypatch)
     one = sweep_on_cpus(monkeypatch, capfd, 1, tmp_path / "one.csv", argv)
     two = sweep_on_cpus(monkeypatch, capfd, 2, tmp_path / "two.csv", argv)
     assert one == two
     code, table, out, err = two
     assert (code, table, out) == (1, None, "")
     assert err == "error: training needs nonempty database and validation splits\n"
+    assert entered == []
 
 
-def die_abruptly(config):
+def raise_value_error(splits, config):
+    """Stands in for ``cli._sweep_point``: the point fails with a ValueError."""
+    raise ValueError(f"no point at seed {config.seed}")
+
+
+def test_sweep_value_error_raised_by_a_point(tmp_path, monkeypatch, capfd):
+    # the pool pickles the function by name, so the workers run this one
+    monkeypatch.setattr(cli, "_sweep_point", raise_value_error)
+    argv = ["--margins=-8,-6", *FAST_TRAIN]
+    one = sweep_on_cpus(monkeypatch, capfd, 1, tmp_path / "s.csv", argv)
+    entered = spy_on_blas_env(monkeypatch)
+    assert sweep_on_cpus(monkeypatch, capfd, 2, tmp_path / "s.csv", argv) == one
+    assert len(entered) == 1
+    assert one == (1, None, "", "error: no point at seed 0\n")
+
+
+def die_abruptly(splits, config):
     """Stands in for ``cli._sweep_point``: the worker process ends without a result."""
     os._exit(3)
 
@@ -489,6 +515,20 @@ def test_sweep_runs_in_process_when_free_memory_fits_one_worker(tmp_path, monkey
     assert entered == []
 
 
+def test_sweep_memory_cap_ignores_the_inherited_peak(tmp_path, monkeypatch):
+    # Linux carries ru_maxrss across exec, so a large launching process would
+    # make this one look too large to run two workers
+    import resource
+
+    monkeypatch.setattr(resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_maxrss=2**50))  # KiB
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    entered = spy_on_blas_env(monkeypatch)
+    assert main(["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"),
+                 *FAST_TRAIN]) == 0
+    assert len(entered) == 1
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -511,8 +551,12 @@ def test_out_file_into_missing_directory(tmp_path, capsys, command):
     [
         (["gen-data", *FAST_DATA[:4], "--classes", "1"], "two classes"),
         (["sweep", "--margins=-7", *FAST_TRAIN], "parity"),
+        (["sweep", "--margins=-8", *FAST_TRAIN, "--val-per-class", "0"],
+         "nonempty database"),
+        (["sweep", "--quant-weights", "0.1", *FAST_TRAIN, "--bits", "2", "--classes", "6"],
+         "cannot place 6 distinct codewords"),
     ],
-    ids=["gen-data", "sweep"],
+    ids=["gen-data", "sweep", "sweep-empty-validation", "sweep-too-few-codewords"],
 )
 def test_out_file_usage_error_creates_no_directory(tmp_path, capsys, command, message):
     out = tmp_path / "new" / "dir" / "out.file"
