@@ -426,9 +426,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             f"dataset has {dataset.dim}"
         )
     splits = _make_splits(args, dataset)
+    report = _evaluate(params, splits, args.k)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report = _evaluate(params, splits, args.k)
     _write_report(out_dir, report, {"checkpoint": str(path), "epoch": meta.get("epoch")})
     print(f"query MAP {report.map:.4f}" + (f", MAP@{args.k} {report.map_at_k:.4f}" if args.k else ""))
     return EXIT_OK

@@ -9,6 +9,7 @@ the searchable database).
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,36 +148,93 @@ def load_csv(path) -> tuple[FeatureDataset, dict[int, int]]:
             raise ValueError(
                 f"{path}: line 1: feature columns must be named f0..f{dim - 1}"
             )
-        raw_labels: list[int] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim + 1} fields, got {len(row)}"
-                )
-            try:
-                raw_labels.append(int(row[0]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: label {row[0]!r} is not an integer"
-                ) from None
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-numeric feature value"
-                ) from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    originals = sorted(set(raw_labels))
-    mapping = {orig: dense for dense, orig in enumerate(originals)}
-    labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
+        raw_labels, features = _parse_bulk(path, dim) or _parse_rows(reader, path, dim)
+    originals, labels = np.unique(raw_labels, return_inverse=True)
+    mapping = {orig: dense for dense, orig in enumerate(originals.tolist())}
     dataset = FeatureDataset(
-        features=np.array(rows, dtype=np.float64),
-        labels=labels,
-        num_classes=len(originals),
+        features=features, labels=labels, num_classes=len(originals)
     )
     return dataset, mapping
+
+
+def _parse_bulk(path, dim: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The data rows through numpy's C reader, or None to use the row parser.
+
+    ``loadtxt`` accepts a subset of what ``int()``/``float()`` accept, with
+    the same values, but skips blank lines; so its result stands only when
+    it raised nothing, warned nothing (numpy 2.0 parses ``1.0`` as an int64
+    with a DeprecationWarning) and has one row per data line.
+    """
+    lines = _data_lines(path)
+    if not lines:  # a header alone, or bytes loadtxt reads differently
+        return None
+    dtype = np.dtype([("label", np.int64), ("f", np.float64, (dim,))])
+    try:
+        with open(path, "r") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                fh, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1
+            )
+    except (ValueError, Warning):
+        return None
+    if len(table) != lines:
+        return None
+    return table["label"], np.ascontiguousarray(table["f"])
+
+
+_CHUNK_BYTES = 1 << 20
+
+
+def _data_lines(path) -> int | None:
+    """Lines after the header as the csv module splits them (at LF, CRLF or a
+    lone CR), read in binary chunks.
+
+    None if the file holds a byte 0x1c-0x1f: ``loadtxt`` strips those from a
+    number as whitespace, while ``int()`` and ``float()`` reject them.
+    """
+    lines, tail = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_CHUNK_BYTES):
+            control = np.frombuffer(chunk, np.uint8)
+            control = control[control < 0x20]
+            if np.any(control >= 0x1C):
+                return None
+            lines += int(np.count_nonzero(control == 0x0A))
+            if np.any(control == 0x0D):
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            lines -= tail == b"\r" and chunk[:1] == b"\n"  # a CRLF across chunks
+            tail = chunk[-1:]
+    return lines + (tail not in b"\r\n") - 1
+
+
+def _parse_rows(reader, path, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The data rows one by one from ``reader``, which stands after the header.
+
+    The error path: each rejected row names its line.  Labels stay Python
+    ints (an object array), as they may exceed int64.
+    """
+    raw_labels: list[int] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != dim + 1:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {dim + 1} fields, got {len(row)}"
+            )
+        try:
+            raw_labels.append(int(row[0]))
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: label {row[0]!r} is not an integer"
+            ) from None
+        try:
+            rows.append([float(v) for v in row[1:]])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: non-numeric feature value"
+            ) from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.array(raw_labels, dtype=object), np.array(rows, dtype=np.float64)
 
 
 @dataclass(frozen=True)

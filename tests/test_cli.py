@@ -256,6 +256,16 @@ def test_eval_invalid_cutoff_no_partial_outputs(tmp_path, capsys):
     assert "--k" in capsys.readouterr().err
 
 
+def test_eval_empty_query_split_no_partial_outputs(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    assert run_train(out_dir) == 0
+    eval_dir = tmp_path / "never"
+    assert main(["eval", "--checkpoint", str(out_dir / "checkpoint.json"),
+                 "--out-dir", str(eval_dir), *FAST_DATA, "--query-per-class", "0"]) == 1
+    assert not eval_dir.exists()
+    assert "nonempty" in capsys.readouterr().err
+
+
 def test_eval_corrupted_checkpoint(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"input_dim": 8,\n  "броken"')

@@ -1,8 +1,13 @@
 """Synthetic generation, CSV round trips, and the split protocol."""
 
+import csv
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+import hashbound.data as data_module
 from hashbound.prng import Xorshift64Star
 from hashbound.data import (
     FeatureDataset,
@@ -170,6 +175,229 @@ def test_csv_rejects_wrong_header(tmp_path):
     path.write_text("label,g0\n0,1.0\n")
     with pytest.raises(ValueError, match="f0"):
         load_csv(path)
+
+
+def row_parser_oracle(path):
+    """The former ``load_csv``: ``csv.reader``, ``int()`` and ``float()`` row by row."""
+    with open(path, "r", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        if len(header) < 2 or header[0] != "label":
+            raise ValueError(
+                f"{path}: line 1: header must be 'label,f0,...,f{{D-1}}'"
+            )
+        dim = len(header) - 1
+        expected = ["label"] + [f"f{i}" for i in range(dim)]
+        if header != expected:
+            raise ValueError(
+                f"{path}: line 1: feature columns must be named f0..f{dim - 1}"
+            )
+        raw_labels: list[int] = []
+        rows: list[list[float]] = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != dim + 1:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {dim + 1} fields, got {len(row)}"
+                )
+            try:
+                raw_labels.append(int(row[0]))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: label {row[0]!r} is not an integer"
+                ) from None
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: non-numeric feature value"
+                ) from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    originals = sorted(set(raw_labels))
+    mapping = {orig: dense for dense, orig in enumerate(originals)}
+    labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
+    dataset = FeatureDataset(
+        features=np.array(rows, dtype=np.float64),
+        labels=labels,
+        num_classes=len(originals),
+    )
+    return dataset, mapping
+
+
+def assert_loads_like_oracle(path):
+    """``load_csv`` returns what the oracle returns, or fails with its message."""
+    try:
+        expected, expected_mapping = row_parser_oracle(path)
+    except (ValueError, csv.Error) as exc:  # csv.Error: a NUL byte before Python 3.11
+        with pytest.raises(type(exc)) as info:
+            load_csv(path)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        return
+    dataset, mapping = load_csv(path)
+    assert dataset.features.flags.c_contiguous
+    assert np.array_equal(dataset.features.view(np.uint64),
+                          expected.features.view(np.uint64))
+    assert dataset.labels.dtype == np.int64
+    assert np.array_equal(dataset.labels, expected.labels)
+    assert dataset.num_classes == expected.num_classes
+    assert mapping == expected_mapping
+    assert all(type(k) is int for k in mapping)
+
+
+def random_csv_lines(seed):
+    """Header and data lines of a random dataset with sparse, signed labels."""
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+    pool = rng.choice(np.arange(-50, 50), size=int(rng.integers(1, 6)), replace=False)
+    labels = rng.choice(pool, size=n)
+    features = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-300, 300, size=(n, dim))
+    features[rng.random((n, dim)) < 0.1] = 0.0
+    lines = ["label," + ",".join(f"f{i}" for i in range(dim))]
+    for label, row in zip(labels, features):
+        lines.append(",".join([str(label)] + [repr(float(v)) for v in row]))
+    return lines
+
+
+def write_csv_lines(path, lines, newline="\n", final_newline=True):
+    path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode())
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["final", "unterminated"])
+@pytest.mark.parametrize("seed", range(6))
+def test_csv_bulk_parse_matches_row_parser(tmp_path, monkeypatch, seed, newline,
+                                           final_newline):
+    path = tmp_path / "random.csv"
+    write_csv_lines(path, random_csv_lines(seed), newline, final_newline)
+    assert_loads_like_oracle(path)
+    # a well-formed file never reaches the row parser
+    monkeypatch.setattr(data_module, "_parse_rows", None)
+    assert_loads_like_oracle(path)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 2, 3, 7])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_csv_line_count_across_chunks(tmp_path, monkeypatch, chunk_bytes, newline):
+    # a CRLF split over two chunks is still one line ending
+    monkeypatch.setattr(data_module, "_CHUNK_BYTES", chunk_bytes)
+    lines = random_csv_lines(0)
+    path = tmp_path / "chunked.csv"
+    write_csv_lines(path, lines, newline)
+    assert data_module._data_lines(path) == len(lines) - 1
+    write_csv_lines(path, lines + [""], newline)  # one blank line more
+    assert data_module._data_lines(path) == len(lines)
+    assert_loads_like_oracle(path)
+
+
+def around(before="", after=""):
+    return lambda fields: before + ",".join(fields) + after
+
+
+def with_label(value):
+    return lambda fields: ",".join([value, *fields[1:]])
+
+
+def with_feature(value):
+    return lambda fields: ",".join([*fields[:-1], value])
+
+
+# Each edit rewrites the first data line of a random file from its fields;
+# every result, loaded or rejected, must be the row parser's.
+LINE_EDITS = {
+    "blank-line": around(after="\n"),
+    "whitespace-line": around(after="\n  "),
+    "hash-line": around(before="# comment\n"),
+    "hash-after-line": around(after="\n#"),
+    "lone-cr": around(after="\r"),
+    "cr-before-newline": around(after="\r\r"),
+    "quoted-label": lambda fields: ",".join([f'"{fields[0]}"', *fields[1:]]),
+    "quoted-feature": lambda fields: ",".join([*fields[:-1], f'"{fields[-1]}"']),
+    "underscore-label": with_label("1_0"),
+    "label-beyond-int64": with_label(str(10**20)),
+    "label-float": with_label("1.0"),
+    "label-hex-float": with_label("0x1p3"),
+    "label-arabic-digit": with_label("\u0663"),
+    "label-padded": with_label(" +3 "),
+    "underscore-feature": with_feature("1_0.5"),
+    "feature-padded": with_feature(" 1.5 "),
+    "feature-nbsp": with_feature("1.5\xa0"),
+    "feature-separator-byte": with_feature("1.5\x1c"),
+    "feature-nul": with_feature("1.5\x00"),
+    "feature-inf": with_feature("inf"),
+    "feature-infinity": with_feature("-Infinity"),
+    "feature-nan": with_feature("nan"),
+    "feature-hex": with_feature("0x1p3"),
+    "feature-empty": with_feature(""),
+    "extra-field": around(after=",1.0"),
+    "missing-field": lambda fields: ",".join(fields[:-1]),
+}
+
+
+@pytest.mark.parametrize("edit", list(LINE_EDITS))
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("seed", range(3))
+def test_csv_edge_cases_match_row_parser(tmp_path, edit, newline, seed):
+    lines = random_csv_lines(seed)
+    lines[1] = LINE_EDITS[edit](lines[1].split(",")).replace("\n", newline)
+    path = tmp_path / "edge.csv"
+    write_csv_lines(path, lines, newline)
+    assert_loads_like_oracle(path)
+
+
+def test_csv_label_beyond_int64_loads_through_row_parser(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(f"label,f0\n{10**20},1.0\n-1,2.0\n{10**20},3.0\n")
+    dataset, mapping = load_csv(path)
+    assert dataset.labels.tolist() == [1, 0, 1]
+    assert mapping == {-1: 0, 10**20: 1}
+    assert_loads_like_oracle(path)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+def test_csv_non_finite_features_rejected(tmp_path, value):
+    path = tmp_path / "inf.csv"
+    path.write_text(f"label,f0\n0,1.0\n1,{value}\n")
+    with pytest.raises(ValueError, match="^features must be finite$"):
+        load_csv(path)
+    assert_loads_like_oracle(path)
+
+
+def test_csv_falls_back_when_loadtxt_warns(tmp_path, monkeypatch):
+    # numpy 2.0 parses "1.0" as an int64 label with only a DeprecationWarning
+    path = tmp_path / "float-label.csv"
+    path.write_text("label,f0\n1.0,2.0\n")
+
+    def lenient_loadtxt(fname, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        table = np.zeros(1, dtype=dtype)
+        table["label"], table["f"] = 1, 2.0
+        return table
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(ValueError, match="line 2: label '1.0' is not an integer"):
+        load_csv(path)
+    monkeypatch.undo()
+    assert_loads_like_oracle(path)
+
+
+def test_csv_load_peak_memory(tmp_path):
+    dataset = generate_synthetic(100, 200, 32, seed=11)
+    path = tmp_path / "large.csv"
+    save_csv(path, dataset)
+    tracemalloc.start()
+    try:
+        loaded, _ = load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.features, dataset.features)
+    # the row parser held a list of Python floats: about 5.5x the array
+    assert peak < 3 * loaded.features.nbytes
 
 
 # --- split protocol ---------------------------------------------------------------
