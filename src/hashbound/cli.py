@@ -13,9 +13,11 @@ gives a value of the wrong type is a usage error.  ``--out`` files and
 more than there are points, nor than processes of the size this one has when
 the sweep starts fit in free memory), each process with one BLAS thread; its
 CSV rows and printed lines keep the order of the points.  A worker process
-that dies is a runtime failure.  A script that calls ``main(["sweep", ...])``
-must do so under ``if __name__ == "__main__":``, because spawned workers
-import the main module again.
+that dies is a runtime failure.  SIGTERM during a pooled sweep ends its
+workers and exits with status 143 (128 + the signal number).  A script
+that calls ``main(["sweep", ...])`` must do so under
+``if __name__ == "__main__":``, because spawned workers import the main
+module again.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 All outputs are machine readable (JSON / CSV) and byte-identical across
@@ -31,6 +33,7 @@ import functools
 import json
 import os
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -481,7 +484,9 @@ def _sweep_results(splits: DatasetSplits, configs: list[TrainConfig]):
     The points run in one spawned process per available CPU (no more than
     there are points, nor than fit in free memory), each with one BLAS thread
     so the processes do not oversubscribe the cores; a single worker runs
-    them in this process.
+    them in this process.  While the pool lives, SIGTERM exits with status
+    143; on any way out before the last point, the queued points are
+    cancelled and the running workers ended, so no worker outlives the sweep.
     """
     point = functools.partial(_sweep_point, splits)
     workers = min(len(configs), _available_cpus(),
@@ -493,17 +498,42 @@ def _sweep_results(splits: DatasetSplits, configs: list[TrainConfig]):
     import concurrent.futures
     import multiprocessing
 
+    earlier_children = set(multiprocessing.active_children())
     try:
-        with concurrent.futures.ProcessPoolExecutor(
+        with _exit_on_sigterm(), concurrent.futures.ProcessPoolExecutor(
             workers,
             mp_context=multiprocessing.get_context("spawn"),
         ) as pool:
-            # map submits every point, which starts every worker, before it returns
-            with _one_blas_thread():
-                results = pool.map(point, configs)
-            yield from results
+            try:
+                # map submits every point, which starts every worker, before it returns
+                with _one_blas_thread():
+                    results = pool.map(point, configs)
+                yield from results
+            except BaseException:
+                for worker in set(multiprocessing.active_children()) - earlier_children:
+                    worker.terminate()
+                pool.shutdown(cancel_futures=True)  # waits for the workers to end
+                raise
     except concurrent.futures.BrokenExecutor as exc:
         raise _RuntimeFailure(f"a sweep worker process died: {exc}") from exc
+
+
+@contextmanager
+def _exit_on_sigterm():
+    """Turn SIGTERM into ``SystemExit(143)`` inside the block, so cleanup runs."""
+    import signal
+
+    def handler(signum, frame):
+        raise SystemExit(128 + signum)
+
+    if threading.current_thread() is not threading.main_thread():
+        yield  # only the main thread can set a signal handler
+        return
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -210,12 +210,14 @@ def _data_lines(path) -> int | None:
 def _parse_rows(reader, path, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The data rows one by one from ``reader``, which stands after the header.
 
-    The error path: each rejected row names its line.  Labels stay Python
-    ints (an object array), as they may exceed int64.
+    The error path: each rejected row names its line, as does a line the
+    csv module rejects (a field over ``csv.field_size_limit()``, or a NUL
+    byte before Python 3.11).  Labels stay Python ints (an object array), as
+    they may exceed int64.
     """
     raw_labels: list[int] = []
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(_csv_rows(reader, path), start=2):
         if len(row) != dim + 1:
             raise ValueError(
                 f"{path}: line {lineno}: expected {dim + 1} fields, got {len(row)}"
@@ -235,6 +237,14 @@ def _parse_rows(reader, path, dim: int) -> tuple[np.ndarray, np.ndarray]:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array(raw_labels, dtype=object), np.array(rows, dtype=np.float64)
+
+
+def _csv_rows(reader, path):
+    """The rows of ``reader``; a line the csv module rejects is a ValueError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -129,11 +130,33 @@ def _check_features(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     return features
 
 
+def _hidden(params: EncoderParams, features: np.ndarray) -> np.ndarray:
+    return np.tanh(features @ params.hidden_weights.T + params.hidden_bias)
+
+
+def _codes(params: EncoderParams, hidden: np.ndarray) -> np.ndarray:
+    return hidden @ params.output_weights.T + params.output_bias
+
+
 def forward(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     """Relaxed codes for a feature batch, shape (n, code_bits)."""
-    features = _check_features(params, features)
-    hidden = np.tanh(features @ params.hidden_weights.T + params.hidden_bias)
-    return hidden @ params.output_weights.T + params.output_bias
+    return _codes(params, _hidden(params, _check_features(params, features)))
+
+
+def _gradients(
+    params: EncoderParams,
+    features: np.ndarray,
+    hidden: np.ndarray,
+    code_grads: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Parameter gradients in field order, from the forward pass's hidden layer."""
+    grad_pre = (code_grads @ params.output_weights) * (1.0 - hidden**2)
+    return (
+        grad_pre.T @ features,
+        grad_pre.sum(axis=0),
+        code_grads.T @ hidden,
+        code_grads.sum(axis=0),
+    )
 
 
 def backward(
@@ -147,18 +170,26 @@ def backward(
             f"expected ({features.shape[0]}, {params.code_bits}) code grads, "
             f"got {code_grads.shape}"
         )
-    pre_hidden = features @ params.hidden_weights.T + params.hidden_bias
-    hidden = np.tanh(pre_hidden)
-    grad_output_weights = code_grads.T @ hidden
-    grad_output_bias = code_grads.sum(axis=0)
-    grad_hidden = code_grads @ params.output_weights
-    grad_pre = grad_hidden * (1.0 - hidden**2)
-    return EncoderParams(
-        hidden_weights=grad_pre.T @ features,
-        hidden_bias=grad_pre.sum(axis=0),
-        output_weights=grad_output_weights,
-        output_bias=grad_output_bias,
-    )
+    hidden = _hidden(params, features)
+    return EncoderParams(*_gradients(params, features, hidden, code_grads))
+
+
+def _arrays(params: EncoderParams) -> list[np.ndarray]:
+    return [getattr(params, key) for key in _CHECKPOINT_KEYS]
+
+
+def _momentum_step(
+    weights: Sequence[np.ndarray],
+    grads: Sequence[np.ndarray],
+    velocity: Sequence[np.ndarray],
+    learning_rate: float,
+    momentum: float,
+) -> None:
+    """In place: v <- momentum*v - lr*g; theta <- theta + v."""
+    for theta, g, v in zip(weights, grads, velocity, strict=True):
+        v *= momentum
+        v -= learning_rate * g
+        theta += v
 
 
 def sgd_step(
@@ -169,12 +200,15 @@ def sgd_step(
     momentum: float,
 ) -> tuple[EncoderParams, EncoderParams]:
     """Momentum SGD: v <- momentum*v - lr*g; theta <- theta + v."""
-    new_params, new_velocity = {}, {}
-    for key in _CHECKPOINT_KEYS:
-        v = momentum * getattr(velocity, key) - learning_rate * getattr(grads, key)
-        new_params[key] = getattr(params, key) + v
-        new_velocity[key] = v
-    return EncoderParams(**new_params), EncoderParams(**new_velocity)
+    new_params, new_velocity = (
+        EncoderParams(*(np.array(a, dtype=np.float64) for a in _arrays(p)))
+        for p in (params, velocity)
+    )
+    _momentum_step(
+        _arrays(new_params), _arrays(grads), _arrays(new_velocity),
+        learning_rate, momentum,
+    )
+    return new_params, new_velocity
 
 
 def encode(params: EncoderParams, features: np.ndarray) -> np.ndarray:
@@ -205,6 +239,9 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
+        # 1.0 freezes each class center after its first update; rejects nan too
+        if not 0.0 <= self.center_momentum <= 1.0:
+            raise ValueError("center_momentum must be in [0, 1]")
         if not (math.isfinite(self.quant_weight) and self.quant_weight >= 0):
             raise ValueError("quant_weight must be finite and >= 0")
         if self.batch_size < 2:
@@ -253,7 +290,10 @@ def train(
     """Train the encoder on the train split; track validation MAP per epoch.
 
     Per epoch: seeded shuffle, then per mini-batch forward -> loss (pairwise
-    or class-center variant) -> backward -> momentum step.  In class-center
+    or class-center variant) -> backward -> momentum step.  The backward pass
+    reuses the forward pass's hidden layer, and the step updates the weights
+    and velocity in place; both give the same bits as ``forward``,
+    ``backward`` and ``sgd_step``.  In class-center
     mode the centers are EMA-updated after each step from that batch's
     relaxed codes, and are initialized from a full forward pass over the
     train split before the first epoch.  A trailing batch of fewer than two
@@ -273,7 +313,8 @@ def train(
     train_labels = dataset.labels[splits.train]
     num_classes = dataset.num_classes
     params = init_params(dataset.dim, config.hidden_dim, config.code_bits, config.seed)
-    velocity = zeros_like_params(params)
+    weights = _arrays(params)  # updated in place by every step
+    velocity = [np.zeros_like(w) for w in weights]
     shuffle_rng = Xorshift64Star(config.seed, stream=_STREAM_SHUFFLE)
 
     train_features = dataset.features[splits.train]
@@ -289,7 +330,7 @@ def train(
     n = len(splits.train)
 
     def check_finite(value, epoch: int) -> None:
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}; "
                 "the learning rate is likely too high"
@@ -308,15 +349,19 @@ def train(
                     continue
                 feats = train_features[rows]
                 labels = train_labels[rows]
-                relaxed = forward(params, feats)
+                hidden = _hidden(params, feats)
+                relaxed = _codes(params, hidden)
                 check_finite(relaxed, epoch)
                 report = total_loss(
                     relaxed, labels, margins, config.quant_weight, centers
                 )
                 check_finite(report.total, epoch)
-                grads = backward(params, feats, report.code_grads)
-                params, velocity = sgd_step(
-                    params, grads, velocity, config.learning_rate, config.momentum
+                _momentum_step(
+                    weights,
+                    _gradients(params, feats, hidden, report.code_grads),
+                    velocity,
+                    config.learning_rate,
+                    config.momentum,
                 )
                 if config.classwise:
                     centers = update_centers(centers, relaxed, labels)

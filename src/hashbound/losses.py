@@ -21,7 +21,9 @@ so once per worker process in a pooled ``sweep``.
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +96,30 @@ def _hinge(
     return loss, dtheta
 
 
+@functools.lru_cache(maxsize=4)  # training sees two sizes: full and trailing batches
+def _upper_pairs(n: int) -> np.ndarray:
+    """Read-only mask of the pairs i < j of an n-row batch."""
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    upper.flags.writeable = False
+    return upper
+
+
+def _as_pair_labels(labels: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    labels = _as_batch_labels(labels, codes)
+    if codes.shape[0] < 2:
+        raise ValueError("need at least two samples to form pairs")
+    return labels
+
+
+def _pairwise(
+    codes: np.ndarray, labels: np.ndarray, margins
+) -> tuple[float, np.ndarray]:
+    upper = _upper_pairs(codes.shape[0])
+    same = labels[:, None] == labels[None, :]
+    loss, dtheta = _hinge(codes @ codes.T, upper & same, upper & ~same, margins)
+    return loss, (dtheta + dtheta.T) @ codes
+
+
 def pairwise_loss(
     codes: np.ndarray, labels: np.ndarray, margins
 ) -> tuple[float, np.ndarray]:
@@ -103,14 +129,12 @@ def pairwise_loss(
     ``grads`` shaped like ``codes``.
     """
     codes = _as_code_batch(codes)
-    labels = _as_batch_labels(labels, codes)
-    n = codes.shape[0]
-    if n < 2:
-        raise ValueError("need at least two samples to form pairs")
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    same = labels[:, None] == labels[None, :]
-    loss, dtheta = _hinge(codes @ codes.T, upper & same, upper & ~same, margins)
-    return loss, (dtheta + dtheta.T) @ codes
+    return _pairwise(codes, _as_pair_labels(labels, codes), margins)
+
+
+def _quantization(codes: np.ndarray) -> tuple[float, np.ndarray]:
+    diff = codes - np.where(codes >= 0.0, 1.0, -1.0)
+    return float((diff**2).sum()), 2.0 * diff
 
 
 def quantization_loss(codes: np.ndarray) -> tuple[float, np.ndarray]:
@@ -119,10 +143,16 @@ def quantization_loss(codes: np.ndarray) -> tuple[float, np.ndarray]:
     The binarization sgn(u) (with sgn(0) = +1) is held constant, so the
     gradient is simply 2 * (u - sgn(u)).
     """
-    codes = _as_code_batch(codes)
-    binary = np.where(codes >= 0.0, 1.0, -1.0)
-    diff = codes - binary
-    return float((diff**2).sum()), 2.0 * diff
+    return _quantization(_as_code_batch(codes))
+
+
+def _isclose(a: float, b: float) -> bool:
+    """``np.isclose(a, b, equal_nan=True)`` for two floats."""
+    return (
+        a == b  # equal infinities
+        or (math.isfinite(b) and abs(a - b) <= 1e-8 + 1e-5 * abs(b))
+        or (math.isnan(a) and math.isnan(b))
+    )
 
 
 @dataclass(frozen=True)
@@ -139,7 +169,7 @@ class LossReport:
         # equal_nan keeps this check out of the way on a diverging run; the
         # training loop is responsible for catching non-finite totals
         expected = self.pairwise + self.quant_weight * self.quantization
-        if not np.isclose(self.total, expected, equal_nan=True):
+        if not _isclose(self.total, expected):
             raise ValueError("total must equal pairwise + quant_weight * quantization")
 
 
@@ -179,6 +209,25 @@ class ClassCenters:
         return self.values.shape[0]
 
 
+def _as_center_labels(
+    labels: np.ndarray, codes: np.ndarray, centers: ClassCenters
+) -> np.ndarray:
+    labels = _as_batch_labels(labels, codes, centers.num_classes)
+    if np.any(centers.counts[np.unique(labels)] == 0):
+        raise ValueError("every class in the batch needs an initialized center")
+    return labels
+
+
+def _classwise(
+    codes: np.ndarray, labels: np.ndarray, centers: ClassCenters, margins
+) -> tuple[float, np.ndarray]:
+    own = labels[:, None] == np.arange(centers.num_classes)
+    # classes that never received an update have meaningless center values
+    initialized = centers.counts > 0
+    loss, dtheta = _hinge(codes @ centers.values.T, own, ~own & initialized, margins)
+    return loss, dtheta @ centers.values
+
+
 def classwise_loss(
     codes: np.ndarray, labels: np.ndarray, centers: ClassCenters, margins
 ) -> tuple[float, np.ndarray]:
@@ -190,15 +239,8 @@ def classwise_loss(
     flow to the sample codes only.
     """
     codes = _as_code_batch(codes)
-    labels = _as_batch_labels(labels, codes, centers.num_classes)
-    if np.any(centers.counts[np.unique(labels)] == 0):
-        raise ValueError("every class in the batch needs an initialized center")
-
-    own = labels[:, None] == np.arange(centers.num_classes)
-    # classes that never received an update have meaningless center values
-    initialized = centers.counts > 0
-    loss, dtheta = _hinge(codes @ centers.values.T, own, ~own & initialized, margins)
-    return loss, dtheta @ centers.values
+    labels = _as_center_labels(labels, codes, centers)
+    return _classwise(codes, labels, centers, margins)
 
 
 def total_loss(
@@ -215,11 +257,16 @@ def total_loss(
     """
     if quant_weight < 0:
         raise ValueError("quant_weight must be >= 0")
+    codes = _as_code_batch(codes)
     if centers is None:
-        pair_value, pair_grads = pairwise_loss(codes, labels, margins)
+        pair_value, pair_grads = _pairwise(
+            codes, _as_pair_labels(labels, codes), margins
+        )
     else:
-        pair_value, pair_grads = classwise_loss(codes, labels, centers, margins)
-    quan_value, quan_grads = quantization_loss(codes)
+        pair_value, pair_grads = _classwise(
+            codes, _as_center_labels(labels, codes, centers), centers, margins
+        )
+    quan_value, quan_grads = _quantization(codes)
     return LossReport(
         pairwise=pair_value,
         quantization=quan_value,

@@ -3,8 +3,11 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
@@ -454,11 +457,27 @@ def test_pooled_sweep_leaves_environ_unchanged(tmp_path, monkeypatch):
     monkeypatch.setenv("MKL_NUM_THREADS", "")
     entered = spy_on_blas_env(monkeypatch)
     before = dict(os.environ)
+    sigterm_handler = signal.getsignal(signal.SIGTERM)
     assert main(["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"),
                  *FAST_TRAIN]) == 0
     assert dict(os.environ) == before
+    assert signal.getsignal(signal.SIGTERM) is sigterm_handler
     # the pool started its workers with one BLAS thread each
     assert entered == [dict.fromkeys(cli._BLAS_THREAD_VARS, "1")]
+
+
+def test_pooled_sweep_outside_the_main_thread(tmp_path, monkeypatch):
+    # only the main thread can set a signal handler; the sweep runs without one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    entered = spy_on_blas_env(monkeypatch)
+    codes = []
+    argv = ["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"), *FAST_TRAIN]
+    thread = threading.Thread(target=lambda: codes.append(main(argv)))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert codes == [0]
+    assert len(entered) == 1
 
 
 def test_sweep_one_worker_runs_in_process(tmp_path, monkeypatch):
@@ -481,6 +500,81 @@ def test_sweep_value_error_in_a_worker_is_a_usage_error(tmp_path, monkeypatch, c
     assert (code, table, out) == (1, None, "")
     assert err == "error: training needs nonempty database and validation splits\n"
     assert entered == []
+
+
+def test_center_momentum_out_of_range_leaves_nothing(tmp_path, monkeypatch, capfd):
+    out_dir = tmp_path / "X"
+    assert main(["train", "--classwise", "--center-momentum", "2", *FAST_TRAIN,
+                 "--out-dir", str(out_dir)]) == 1
+    assert not out_dir.exists()
+    assert capfd.readouterr().err == "error: center_momentum must be in [0, 1]\n"
+    # a sweep refuses it before any worker starts
+    entered = spy_on_blas_env(monkeypatch)
+    argv = ["--margins=-8,-6", "--classwise", "--center-momentum", "nan", *FAST_TRAIN]
+    result = sweep_on_cpus(monkeypatch, capfd, 2, tmp_path / "new" / "s.csv", argv)
+    assert result == (1, None, "", "error: center_momentum must be in [0, 1]\n")
+    assert not (tmp_path / "new").exists()
+    assert entered == []
+
+
+def child_pids(pid):
+    """Processes whose parent is ``pid``, read from /proc."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    fields = fh.read().rsplit(")", 1)[1].split()
+            except OSError:  # exited meanwhile
+                continue
+            if int(fields[1]) == pid:
+                found.append(int(entry))
+    return found
+
+
+def is_running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+# Runs the CLI as if two CPUs were available, so the sweep always pools.
+_TWO_CPU_SWEEP = (
+    "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+    "from hashbound.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_sigterm_ends_the_sweep_and_its_workers(tmp_path):
+    argv = ["sweep", "--margins=-8,-6,-4,-2", *FAST_DATA, "--bits", "8",
+            "--epochs", "100000", "--batch-size", "16", "--out", str(tmp_path / "s.csv")]
+    proc = subprocess.Popen([sys.executable, "-c", _TWO_CPU_SWEEP, *argv],
+                            env=_SUBPROCESS_ENV)
+    children = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(child_pids(proc.pid)) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(1.0)  # every worker has started
+        children = child_pids(proc.pid)
+        assert len(children) >= 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 143
+        deadline = time.monotonic() + 10
+        while any(map(is_running, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in children if is_running(pid)] == []
+        assert not (tmp_path / "s.csv").exists()
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in children:
+            if is_running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def raise_value_error(splits, config):

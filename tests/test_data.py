@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hashbound.data as data_module
+from hashbound.cli import main as cli_main
 from hashbound.prng import Xorshift64Star
 from hashbound.data import (
     FeatureDataset,
@@ -231,11 +232,17 @@ def assert_loads_like_oracle(path):
     """``load_csv`` returns what the oracle returns, or fails with its message."""
     try:
         expected, expected_mapping = row_parser_oracle(path)
-    except (ValueError, csv.Error) as exc:  # csv.Error: a NUL byte before Python 3.11
-        with pytest.raises(type(exc)) as info:
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
             load_csv(path)
         assert type(info.value) is type(exc)
         assert str(info.value) == str(exc)
+        return
+    except csv.Error as exc:  # a NUL byte before Python 3.11: load_csv names the line
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value).startswith(f"{path}: line ")
+        assert str(info.value).endswith(f": {exc}")
         return
     dataset, mapping = load_csv(path)
     assert dataset.features.flags.c_contiguous
@@ -382,6 +389,51 @@ def test_csv_falls_back_when_loadtxt_warns(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="line 2: label '1.0' is not an integer"):
         load_csv(path)
     monkeypatch.undo()
+    assert_loads_like_oracle(path)
+
+
+def test_csv_oversized_field_is_a_value_error(tmp_path, capsys):
+    # the blank line sends the file to the row parser, whose csv reader
+    # rejects a field over csv.field_size_limit() (131072 characters)
+    path = tmp_path / "long.csv"
+    path.write_text("label,f0\n1," + "1" * 140000 + "\n\n2,3.0\n")
+    message = f"{path}: line 2: field larger than field limit (131072)"
+    with pytest.raises(ValueError) as info:
+        load_csv(path)
+    assert str(info.value) == message
+    out_dir = tmp_path / "out"
+    assert cli_main(["train", "--data", str(path), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+class NulRejectingReader:
+    """``csv.reader`` as Python 3.10 has it: a NUL byte is a ``csv.Error``."""
+
+    def __init__(self, fh, reader=csv.reader):
+        self._reader = reader(fh)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        row = next(self._reader)
+        if any("\0" in field for field in row):
+            raise csv.Error("line contains NUL")
+        return row
+
+    @property
+    def line_num(self):
+        return self._reader.line_num
+
+
+def test_csv_nul_rejected_by_the_csv_module_is_a_value_error(tmp_path, monkeypatch):
+    path = tmp_path / "nul.csv"
+    path.write_text("label,f0\n1,2.0\n2,3\x00\n")
+    monkeypatch.setattr(csv, "reader", NulRejectingReader)
+    with pytest.raises(ValueError) as info:
+        load_csv(path)
+    assert str(info.value) == f"{path}: line 3: line contains NUL"
     assert_loads_like_oracle(path)
 
 

@@ -10,7 +10,9 @@ from conftest import relative_error
 from hashbound.bounds import BoundProblem, derive_margins
 from hashbound.data import SplitSpec, generate_synthetic, split_dataset
 from hashbound.encoder import (
+    _STREAM_SHUFFLE,
     EncoderParams,
+    EpochRecord,
     TrainConfig,
     TrainingDivergedError,
     backward,
@@ -21,10 +23,13 @@ from hashbound.encoder import (
     save_checkpoint,
     sgd_step,
     train,
+    training_margins,
     zeros_like_params,
 )
-from hashbound.codes import Codebook, from_signs
-from hashbound.losses import total_loss
+from hashbound.codes import Codebook, from_signs, pack_sign_rows
+from hashbound.evaluation import mean_average_precision
+from hashbound.losses import ClassCenters, total_loss, update_centers
+from hashbound.prng import Xorshift64Star
 
 
 def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
@@ -32,6 +37,10 @@ def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
         np.array_equal(getattr(a, f.name), getattr(b, f.name))
         for f in dataclasses.fields(EncoderParams)
     )
+
+
+def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def oracle_forward(params: EncoderParams, features: np.ndarray) -> np.ndarray:
@@ -205,6 +214,26 @@ def test_sgd_step_noop_on_zero_grads():
     assert params_equal(new_velocity, velocity)
 
 
+def test_sgd_step_matches_the_momentum_formula_bitwise():
+    rng = np.random.default_rng(5)
+    params, grads, velocity = (
+        EncoderParams(rng.normal(size=(6, 4)), rng.normal(size=6),
+                      rng.normal(size=(3, 6)), rng.normal(size=3))
+        for _ in range(3)
+    )
+    before = [np.copy(getattr(p, f.name)) for p in (params, grads, velocity)
+              for f in dataclasses.fields(EncoderParams)]
+    new_params, new_velocity = sgd_step(params, grads, velocity, 0.05, 0.5)
+    for f in dataclasses.fields(EncoderParams):
+        v = 0.5 * getattr(velocity, f.name) - 0.05 * getattr(grads, f.name)
+        assert bits_equal(getattr(new_velocity, f.name), v)
+        assert bits_equal(getattr(new_params, f.name), getattr(params, f.name) + v)
+    # the inputs are left as they were
+    after = [getattr(p, f.name) for p in (params, grads, velocity)
+             for f in dataclasses.fields(EncoderParams)]
+    assert all(bits_equal(a, b) for a, b in zip(after, before))
+
+
 def test_sgd_two_steps_match_hand_unroll():
     # p0=1, g1=2, g2=-1, lr=0.1, momentum=0.5 -> p1=0.8, p2=0.8
     params, velocity = unit_params(1.0), unit_params(0.0)
@@ -349,3 +378,119 @@ def test_training_progress_when_margin_is_attainable():
     _, history = train(splits, config)
     assert history.margins.negative_margin == -12  # clamped case
     assert history.records[-1].total < 0.1 * history.records[0].total
+
+
+def reference_train(splits, config):
+    """The training loop through the public steps: ``forward`` -> ``total_loss``
+    -> ``backward`` -> ``sgd_step``, a new set of arrays per step."""
+    margins = training_margins(splits, config)
+    dataset = splits.dataset
+    train_labels = dataset.labels[splits.train]
+    params = init_params(dataset.dim, config.hidden_dim, config.code_bits, config.seed)
+    velocity = zeros_like_params(params)
+    shuffle_rng = Xorshift64Star(config.seed, stream=_STREAM_SHUFFLE)
+    train_features = dataset.features[splits.train]
+    centers = None
+    if config.classwise:
+        centers = update_centers(
+            ClassCenters.empty(dataset.num_classes, config.code_bits,
+                               config.center_momentum),
+            forward(params, train_features),
+            train_labels,
+        )
+
+    def check_finite(value, epoch):
+        if not np.all(np.isfinite(value)):
+            raise TrainingDivergedError(
+                f"non-finite loss at epoch {epoch}; "
+                "the learning rate is likely too high"
+            )
+
+    records = []
+    n = len(splits.train)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = shuffle_rng.permutation(n)
+            sum_pair = sum_quan = sum_total = 0.0
+            batches = 0
+            for start in range(0, n, config.batch_size):
+                rows = order[start : start + config.batch_size]
+                if len(rows) < 2:
+                    continue
+                feats, labels = train_features[rows], train_labels[rows]
+                relaxed = forward(params, feats)
+                check_finite(relaxed, epoch)
+                report = total_loss(relaxed, labels, margins, config.quant_weight, centers)
+                check_finite(report.total, epoch)
+                grads = backward(params, feats, report.code_grads)
+                params, velocity = sgd_step(
+                    params, grads, velocity, config.learning_rate, config.momentum
+                )
+                if config.classwise:
+                    centers = update_centers(centers, relaxed, labels)
+                sum_pair += report.pairwise
+                sum_quan += report.quantization
+                sum_total += report.total
+                batches += 1
+            db_relaxed = forward(params, dataset.features[splits.database])
+            check_finite(db_relaxed, epoch)
+            val_relaxed = forward(params, dataset.features[splits.validation])
+            check_finite(val_relaxed, epoch)
+            report = mean_average_precision(
+                pack_sign_rows(val_relaxed), dataset.labels[splits.validation],
+                pack_sign_rows(db_relaxed), dataset.labels[splits.database],
+                None, config.code_bits,
+            )
+            records.append(EpochRecord(
+                epoch=epoch,
+                pairwise=sum_pair / batches,
+                quantization=sum_quan / batches,
+                total=sum_total / batches,
+                val_map=report.map,
+                min_center_distance=report.min_interclass_distance,
+            ))
+    return params, records
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"classwise": True, "epochs": 6},
+        {"batch_size": 59},  # 60 train rows: a trailing batch of one is skipped
+        {"quant_weight": 0.0},
+        {"momentum": 0.9, "hidden_dim": 5, "learning_rate": 0.2},
+    ],
+    ids=["pairwise", "classwise", "trailing-single-sample", "no-quantization",
+         "high-momentum"],
+)
+def test_train_matches_reference_loop_bitwise(overrides):
+    splits = small_splits(seed=2)
+    config = TrainConfig(**{"code_bits": 8, "epochs": 4, "batch_size": 16, "seed": 5,
+                            **overrides})
+    params, history = train(splits, config)
+    want_params, want_records = reference_train(splits, config)
+    for f in dataclasses.fields(EncoderParams):
+        assert bits_equal(getattr(params, f.name), getattr(want_params, f.name)), f.name
+    assert history.records == want_records
+
+
+@pytest.mark.parametrize("learning_rate,epoch", [(1e12, 1), (1e3, 2)])
+def test_train_diverges_at_the_reference_loop_epoch(learning_rate, epoch):
+    splits = small_splits()
+    config = TrainConfig(code_bits=8, epochs=5, batch_size=16,
+                         learning_rate=learning_rate)
+    with pytest.raises(TrainingDivergedError) as want:
+        reference_train(splits, config)
+    with pytest.raises(TrainingDivergedError) as got:
+        train(splits, config)
+    assert str(got.value) == str(want.value)
+    assert f"at epoch {epoch};" in str(got.value)
+
+
+def test_train_config_rejects_bad_center_momentum():
+    for bad in (-0.1, 1.5, 2.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="center_momentum"):
+            TrainConfig(code_bits=8, center_momentum=bad)
+    for good in (0.0, 0.5, 1.0):
+        TrainConfig(code_bits=8, center_momentum=good)

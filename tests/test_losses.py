@@ -6,12 +6,14 @@ discontinuity of the quantization term.
 """
 
 import logging
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import relative_error
+import hashbound.losses as losses_module
 from hashbound.bounds import margins_from_negative
 from hashbound.losses import (
     ClassCenters,
@@ -457,3 +459,25 @@ def test_update_centers_only_touches_present_classes():
     updated = update_centers(centers, np.array([[0.0, 0.0]]), np.array([0]))
     assert np.array_equal(updated.values[1], values[1])
     assert updated.counts.tolist() == [2, 1]
+
+
+def test_loss_report_check_is_np_isclose():
+    tiny = 5e-324  # the smallest denormal
+    values = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 1e-8, -1e-8, 1.0,
+              1.0 + 1e-5, 1.0 + 1.1e-5, 1e5, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    # and both sides of the tolerance 1e-8 + 1e-5 * |b| around b = 1 and b = 0
+    edge = 1.0 + (1e-8 + 1e-5)
+    values += [edge, np.nextafter(edge, 2.0), np.nextafter(edge, 0.0),
+               1e-8, np.nextafter(1e-8, 1.0)]
+    for a in values:
+        for b in values:
+            want = bool(np.isclose(a, b, equal_nan=True))
+            assert losses_module._isclose(float(a), float(b)) is want, (a, b)
+
+
+def test_pair_mask_is_cached_read_only():
+    upper = losses_module._upper_pairs(5)
+    assert upper is losses_module._upper_pairs(5)
+    assert np.array_equal(upper, np.triu(np.ones((5, 5), dtype=bool), k=1))
+    with pytest.raises(ValueError):
+        upper[0, 1] = False
