@@ -9,7 +9,6 @@ an exact Hamming-distance ranking engine.
 from .bounds import (
     BoundProblem,
     MarginSet,
-    binomial,
     bound_holds,
     derive_margins,
     margins_from_negative,
@@ -21,15 +20,12 @@ from .codes import (
     Codebook,
     codebook_min_distance,
     correction_radius,
-    distance_from_inner_product,
     flip_bits,
     from_bits,
     from_signs,
     hamming_distance,
     inner_product,
     nearest_codeword,
-    read_codes,
-    write_codes,
 )
 from .data import (
     DatasetSplits,

@@ -2,9 +2,10 @@
 
 The codes are binary: length ``bits`` over {+1, -1}, so the space holds
 ``2**bits`` words.  Everything here runs on arbitrary-precision Python
-integers: the feasibility test is evaluated as
-``num_classes * volume <= 2**bits`` with no division and no floating point,
-so boundary cases are decided exactly even at 64 bits and beyond.
+integers, the binomials from ``math.comb``: the feasibility test is
+evaluated as ``num_classes * volume <= 2**bits`` with no division and no
+floating point, so boundary cases are decided exactly even at 64 bits and
+beyond.
 
 The quantity this module ultimately produces is a pair of inner-product
 margins for a hinge loss: the positive margin equals the code length (same
@@ -21,23 +22,12 @@ from dataclasses import dataclass
 __all__ = [
     "BoundProblem",
     "MarginSet",
-    "binomial",
     "sphere_volume",
     "bound_holds",
     "solve_target_distance",
     "derive_margins",
     "margins_from_negative",
 ]
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k) as an arbitrary-precision integer.
-
-    ``k > n`` yields 0 (no ways to choose); negative arguments are rejected.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    return math.comb(n, k)
 
 
 def sphere_volume(code_bits: int, distance: int) -> int:
@@ -55,7 +45,7 @@ def sphere_volume(code_bits: int, distance: int) -> int:
     if distance < 1:
         raise ValueError("distance must be >= 1")
     radius = (distance - 1) // 2
-    return sum(binomial(code_bits, i) for i in range(radius + 1))
+    return sum(math.comb(code_bits, i) for i in range(radius + 1))
 
 
 @dataclass(frozen=True)
@@ -119,7 +109,7 @@ def solve_target_distance(problem: BoundProblem) -> int:
         new_radius = (d - 1) // 2
         if new_radius > radius:
             radius = new_radius
-            volume += binomial(bits, radius)
+            volume += math.comb(bits, radius)
     return d
 
 

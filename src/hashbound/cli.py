@@ -5,9 +5,9 @@ Subcommands: ``bound``, ``gen-data``, ``train``, ``eval``, ``sweep``; run
 them as ``hashbound CMD`` or ``python -m hashbound CMD``.  Any subcommand
 accepts ``--config PATH`` pointing at a JSON object whose keys are the long
 flag names with underscores; explicit flags override the file.  A config
-file that cannot be decoded or parsed as JSON, names an unknown field or
-gives a value of the wrong type is a usage error.  ``--out`` files and
-``--out-dir`` directories get their missing parent directories created.
+file that cannot be decoded as UTF-8 or parsed as JSON, names an unknown
+field or gives a value of the wrong type is a usage error.  ``--out`` files
+and ``--out-dir`` directories get their missing parent directories created.
 
 ``sweep`` trains its points in one spawned process per available CPU (no
 more than there are points, nor than processes of the size this one has when
@@ -182,7 +182,7 @@ def _apply_config_file(parser: _Parser, argv: list[str] | None) -> argparse.Name
     if not path.is_file():
         raise _UsageError(f"config file not found: {path}")
     try:
-        values = json.loads(path.read_text())
+        values = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise _UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(values, dict):
@@ -422,6 +422,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             f"corrupted checkpoint {path}: line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:  # a ValueError too
+        raise _RuntimeFailure(
+            f"corrupted checkpoint {path}: not UTF-8 text ({exc.reason})"
+        ) from exc
     dataset = _load_dataset(args)
     if dataset.dim != params.input_dim:
         raise _RuntimeFailure(
@@ -471,7 +475,7 @@ def _processes_fitting_in_free_memory() -> int | None:
     try:
         page = os.sysconf("SC_PAGE_SIZE")
         free = os.sysconf("SC_AVPHYS_PAGES") * page
-        with open("/proc/self/statm") as fh:
+        with open("/proc/self/statm", encoding="ascii") as fh:
             size = int(fh.read().split()[1]) * page  # resident pages
     except (ValueError, OSError):  # no such counters on this platform
         return None

@@ -4,40 +4,30 @@ Representation
 --------------
 A batch of n codes of length L is an (n, W) uint64 word matrix with
 W = ceil(L/64), passed together with L.  This is what ``encoder``,
-``evaluation`` and ``cli`` exchange, what the vectorized kernels
+``evaluation`` and ``cli`` exchange, and what the vectorized kernels
 (``pack_sign_rows``, ``packed_hamming_matrix``, ``codebook_min_distance``)
-take and return, and what the HMX1 files hold.  ``packed_hamming_matrix``
-gives its distances as uint8 for L <= 192 and as uint16 beyond, the
-narrowest type that holds 64 * W.  ``BinaryCode`` and ``Codebook`` are the
-scalar edge: bit-level work (flips, inner products) and nearest-codeword
-decoding, which runs on the same Hamming kernel.
+take and return.  ``packed_hamming_matrix`` gives its distances as uint8
+for L <= 192 and as uint16 beyond, the narrowest type that holds 64 * W.
+``BinaryCode`` and ``Codebook`` are the scalar edge: bit-level work (flips,
+inner products) and nearest-codeword decoding, which runs on the same
+Hamming kernel.
 
 Bit layout
 ----------
 Symbol i of a length-L code lives at bit (i % 64) of word (i // 64), LSB
 first.  Bit value 1 means symbol +1, bit value 0 means symbol -1.  Bits at
 positions >= L in the last word are always zero (canonical padding), which
-makes equality, distance, and the on-disk format well defined.
-
-File format
------------
-``write_codes`` emits: magic ``HMX1``, the code length as u32 little-endian,
-the record count as u64 little-endian, then per record ceil(L/64) u64
-little-endian words.  The in-memory layout above makes this a straight dump
-of the word matrix, and ``read_codes`` returns it as one.
+makes equality and distance well defined.
 
 Binarization follows sgn(0) = +1 so that encoding is deterministic.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .fileio import atomic_open
 
 __all__ = [
     "BinaryCode",
@@ -47,20 +37,16 @@ __all__ = [
     "flip_bits",
     "hamming_distance",
     "inner_product",
-    "distance_from_inner_product",
     "correction_radius",
     "check_words",
     "codebook_min_distance",
     "nearest_codeword",
     "pack_sign_rows",
     "packed_hamming_matrix",
-    "write_codes",
-    "read_codes",
 ]
 
 _WORD_BITS = 64
-_MAGIC = b"HMX1"
-_HEADER_BYTES = 16  # magic, u32 code length, u64 record count
+
 
 def _word_count(length: int) -> int:
     return (length + _WORD_BITS - 1) // _WORD_BITS
@@ -79,12 +65,6 @@ def check_words(words: np.ndarray, length: int | None = None) -> np.ndarray:
                 f"got {words.shape[1]}"
             )
     return words
-
-
-def _check_padding(words: np.ndarray, length: int) -> None:
-    pad_bits = _word_count(length) * _WORD_BITS - length
-    if pad_bits and np.any(words[:, -1] >> (_WORD_BITS - pad_bits)):
-        raise ValueError("padding bits beyond the code length must be zero")
 
 
 @dataclass(frozen=True)
@@ -180,17 +160,6 @@ def inner_product(a: BinaryCode, b: BinaryCode) -> int:
     return a.length - 2 * hamming_distance(a, b)
 
 
-def distance_from_inner_product(length: int, value: int) -> int:
-    """Hamming distance implied by a +-1 inner product: (L - value) / 2."""
-    if abs(value) > length:
-        raise ValueError(f"|inner product| cannot exceed the length {length}")
-    if (length - value) % 2 != 0:
-        raise ValueError(
-            f"inner product {value} has wrong parity for length {length}"
-        )
-    return (length - value) // 2
-
-
 def correction_radius(min_distance: int) -> int:
     """Bit errors guaranteed recoverable by nearest-codeword decoding."""
     if min_distance < 1:
@@ -268,37 +237,3 @@ def nearest_codeword(book: Codebook, query: BinaryCode) -> tuple[int, int]:
     dists = packed_hamming_matrix(query_words, book.word_matrix())[0]
     best = int(np.argmin(dists))  # the first minimum
     return best, int(dists[best])
-
-
-def write_codes(path, words: np.ndarray, length: int) -> None:
-    """Write an (n, W) word matrix of length-``length`` codes as HMX1, atomically."""
-    check_words(words, length)
-    if len(words) == 0:
-        raise ValueError("refusing to write an empty code file")
-    _check_padding(words, length)
-    with atomic_open(path, binary=True) as fh:
-        fh.write(_MAGIC + struct.pack("<IQ", length, len(words)))
-        fh.write(words.astype("<u8").tobytes())
-
-
-def read_codes(path) -> tuple[np.ndarray, int]:
-    """Read an HMX1 code file as an (n, W) uint64 word matrix and its length."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ValueError(f"not a code file: bad magic {raw[:4]!r}")
-    if len(raw) < _HEADER_BYTES:
-        raise ValueError("code file truncated")
-    length, count = struct.unpack_from("<IQ", raw, 4)
-    if length < 1:
-        raise ValueError("code file declares zero-length codes")
-    width = _word_count(length)
-    body_bytes = len(raw) - _HEADER_BYTES  # checked before any allocation
-    if body_bytes < count * 8 * width:
-        raise ValueError("code file truncated")
-    if body_bytes > count * 8 * width:
-        raise ValueError("trailing bytes after the last record")
-    raw_words = np.frombuffer(raw, dtype="<u8", offset=_HEADER_BYTES)
-    words = raw_words.astype(np.uint64).reshape(count, width)
-    _check_padding(words, length)
-    return words, length

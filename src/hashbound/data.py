@@ -130,14 +130,13 @@ def load_csv(path) -> tuple[FeatureDataset, dict[int, int]]:
 
     Returns the dataset and the mapping from original label values to the
     dense ids (original labels in ascending order).  Malformed input fails
-    with the offending line number.
+    with the offending line number; bytes that are not UTF-8 name the file.
     """
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = _csv_rows(csv.reader(fh), path)
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         if len(header) < 2 or header[0] != "label":
             raise ValueError(
                 f"{path}: line 1: header must be 'label,f0,...,f{{D-1}}'"
@@ -148,7 +147,7 @@ def load_csv(path) -> tuple[FeatureDataset, dict[int, int]]:
             raise ValueError(
                 f"{path}: line 1: feature columns must be named f0..f{dim - 1}"
             )
-        raw_labels, features = _parse_bulk(path, dim) or _parse_rows(reader, path, dim)
+        raw_labels, features = _parse_bulk(path, dim) or _parse_rows(rows, path, dim)
     originals, labels = np.unique(raw_labels, return_inverse=True)
     mapping = {orig: dense for dense, orig in enumerate(originals.tolist())}
     dataset = FeatureDataset(
@@ -170,7 +169,7 @@ def _parse_bulk(path, dim: int) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     dtype = np.dtype([("label", np.int64), ("f", np.float64, (dim,))])
     try:
-        with open(path, "r") as fh, warnings.catch_warnings():
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(
                 fh, dtype=dtype, delimiter=",", skiprows=1, comments=None, ndmin=1
@@ -207,8 +206,8 @@ def _data_lines(path) -> int | None:
     return lines + (tail not in b"\r\n") - 1
 
 
-def _parse_rows(reader, path, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The data rows one by one from ``reader``, which stands after the header.
+def _parse_rows(csv_rows, path, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The data rows one by one from ``csv_rows``, which stands after the header.
 
     The error path: each rejected row names its line, as does a line the
     csv module rejects (a field over ``csv.field_size_limit()``, or a NUL
@@ -217,7 +216,7 @@ def _parse_rows(reader, path, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """
     raw_labels: list[int] = []
     rows: list[list[float]] = []
-    for lineno, row in enumerate(_csv_rows(reader, path), start=2):
+    for lineno, row in enumerate(csv_rows, start=2):
         if len(row) != dim + 1:
             raise ValueError(
                 f"{path}: line {lineno}: expected {dim + 1} fields, got {len(row)}"
@@ -240,11 +239,16 @@ def _parse_rows(reader, path, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _csv_rows(reader, path):
-    """The rows of ``reader``; a line the csv module rejects is a ValueError."""
+    """The rows of ``reader``; a line the csv module rejects is a ValueError,
+    and so is a byte that is not UTF-8, which names no line: the decoder
+    reads ahead in chunks, so ``reader.line_num`` is not the bad byte's line.
+    """
     try:
         yield from reader
     except csv.Error as exc:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 @dataclass(frozen=True)

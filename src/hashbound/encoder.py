@@ -419,7 +419,7 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> tuple[EncoderParams, dict[str, Any]]:
     """Read a checkpoint back; returns the params and the metadata dict."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
         if not isinstance(doc, dict):

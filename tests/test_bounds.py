@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from hashbound.bounds import (
     BoundProblem,
     MarginSet,
-    binomial,
     bound_holds,
     derive_margins,
     margins_from_negative,
@@ -54,42 +53,6 @@ def oracle_solve(bits: int, classes: int) -> int:
     return bits
 
 
-# --- binomial -------------------------------------------------------------
-
-def test_binomial_empty_choice():
-    assert binomial(12, 0) == 1
-
-
-def test_binomial_known_value():
-    # Pascal oracle: C(12,3) = 220
-    assert oracle_binomial(12, 3) == 220
-    assert binomial(12, 3) == 220
-
-
-def test_binomial_k_larger_than_n():
-    assert binomial(12, 13) == 0
-
-
-def test_binomial_rejects_negatives():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
-
-
-def test_binomial_matches_pascal_everywhere():
-    for n in range(0, 40):
-        for k in range(0, n + 5):
-            assert binomial(n, k) == oracle_binomial(n, k)
-
-
-def test_binomial_is_exact_at_128_bits():
-    # C(128, 64) needs 125 bits; any fixed-width arithmetic would overflow.
-    value = binomial(128, 64)
-    assert value == oracle_binomial(128, 64)
-    assert value > 2**63
-
-
 # --- sphere volumes -------------------------------------------------------
 
 def test_sphere_volume_distance_one_is_single_word():
@@ -112,9 +75,17 @@ def test_sphere_volume_direct_sums(bits, distance, expected):
 
 
 def test_sphere_volume_matches_oracle_exhaustively():
+    # distances up to 2 * bits + 3 take the radius past the length (C(n, k > n) = 0)
     for bits in range(1, 21):
-        for distance in range(1, bits + 3):
+        for distance in range(1, 2 * bits + 4):
             assert sphere_volume(bits, distance) == oracle_volume(bits, distance)
+
+
+def test_sphere_volume_is_exact_at_128_bits():
+    # 2**127 + C(128, 64) / 2: any fixed-width arithmetic would overflow.
+    value = sphere_volume(128, 129)
+    assert value == oracle_volume(128, 129)
+    assert value > 2**127
 
 
 def test_sphere_volume_input_validation():

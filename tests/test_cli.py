@@ -271,12 +271,17 @@ def test_eval_empty_query_split_no_partial_outputs(tmp_path, capsys):
 
 def test_eval_corrupted_checkpoint(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"input_dim": 8,\n  "броken"')
-    code = main(["eval", "--checkpoint", str(bad), "--out-dir",
-                 str(tmp_path / "out"), *FAST_DATA])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "line" in err and "column" in err
+    out_dir = tmp_path / "out"
+    for content, detail in (
+        ('{"input_dim": 8,\n  "броken"'.encode(), "line 2 column 11"),  # truncated JSON
+        (b'\xff{"input_dim": 8}', "not UTF-8 text"),  # bytes that decode to no text
+    ):
+        bad.write_bytes(content)
+        code = main(["eval", "--checkpoint", str(bad), "--out-dir", str(out_dir), *FAST_DATA])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupted checkpoint {bad}: {detail}")
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("doc", [

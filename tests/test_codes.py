@@ -1,7 +1,5 @@
 """Packed code kernels against naive per-symbol oracles."""
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,6 @@ from hashbound.codes import (
     check_words,
     codebook_min_distance,
     correction_radius,
-    distance_from_inner_product,
     flip_bits,
     from_bits,
     from_signs,
@@ -22,8 +19,6 @@ from hashbound.codes import (
     nearest_codeword,
     pack_sign_rows,
     packed_hamming_matrix,
-    read_codes,
-    write_codes,
 )
 
 LENGTHS = (1, 12, 63, 64, 65, 128)
@@ -140,16 +135,6 @@ def test_inner_product_matches_sign_dot_oracle():
             assert dot == length - 2 * oracle_distance(a, b)
 
 
-def test_distance_from_inner_product():
-    assert distance_from_inner_product(12, 12) == 0
-    assert distance_from_inner_product(12, -12) == 12
-    assert distance_from_inner_product(12, -6) == 9
-    with pytest.raises(ValueError):
-        distance_from_inner_product(12, 5)  # parity
-    with pytest.raises(ValueError):
-        distance_from_inner_product(12, 14)
-
-
 @given(st.integers(min_value=1, max_value=256), st.data())
 @settings(max_examples=150)
 def test_metric_axioms(length, data):
@@ -216,8 +201,9 @@ def test_check_words_width_against_length():
     wide = Codebook([from_bits([1] * 65)]).word_matrix()
     assert check_words(wide, 65) is wide
     assert check_words(wide, 128) is wide
-    for bad_length in (64, 129, 0):
-        with pytest.raises(ValueError):
+    for bad_length, message in ((64, "words per row"), (129, "words per row"),
+                                (0, "code length")):
+        with pytest.raises(ValueError, match=message):
             check_words(wide, bad_length)
 
 
@@ -308,148 +294,3 @@ def test_decode_within_radius_property():
             for _ in range(10):
                 flips = rng.choice(length, size=int(rng.integers(0, radius + 1)), replace=False)
                 assert nearest_codeword(book, flip_bits(code, flips))[0] == index
-
-
-# --- file format ----------------------------------------------------------------
-
-HMX1_LENGTHS = (1, 12, 64, 65, 130)
-
-
-def reference_write_codes(path, codes):
-    """The one-word-at-a-time struct writer that HMX1 was defined by."""
-    with open(path, "wb") as fh:
-        fh.write(b"HMX1")
-        fh.write(struct.pack("<I", codes[0].length))
-        fh.write(struct.pack("<Q", len(codes)))
-        for c in codes:
-            for w in c.words:
-                fh.write(struct.pack("<Q", w))
-
-
-def hmx1_file(tmp_path, length, rows=5):
-    """A valid HMX1 file of random codes plus a duplicate row, and its words."""
-    rng = np.random.default_rng(length)
-    codes = [random_code(rng, length) for _ in range(rows)]
-    words = Codebook(codes + [codes[0]]).word_matrix()
-    path = tmp_path / f"codes_{length}.hmx"
-    write_codes(path, words, length)
-    return path, words
-
-
-@pytest.mark.parametrize("length", HMX1_LENGTHS)
-def test_code_file_matches_reference_writer(tmp_path, length):
-    rng = np.random.default_rng(length)
-    codes = [random_code(rng, length) for _ in range(7)]
-    codes += [codes[2], codes[2], codes[0]]  # duplicate rows
-    expected = tmp_path / "reference.hmx"
-    reference_write_codes(expected, codes)
-    path = tmp_path / "codes.hmx"
-    write_codes(path, Codebook(codes).word_matrix(), length)
-    assert path.read_bytes() == expected.read_bytes()
-
-
-def test_code_file_round_trip(tmp_path):
-    rng = np.random.default_rng(10)
-    for length in sorted(set(LENGTHS + HMX1_LENGTHS)):
-        path = tmp_path / f"codes_{length}.hmx"
-        words = Codebook([random_code(rng, length) for _ in range(11)]).word_matrix()
-        write_codes(path, words, length)
-        read, read_length = read_codes(path)
-        assert read_length == length
-        assert read.dtype == np.uint64 and read.flags.writeable
-        assert np.array_equal(read, words)
-
-
-def test_code_file_layout_is_pinned(tmp_path):
-    # magic, u32 length, u64 count, then LSB-first words little-endian
-    path = tmp_path / "one.hmx"
-    write_codes(path, Codebook([from_bits([1, 0, 1])]).word_matrix(), 3)
-    raw = path.read_bytes()
-    assert raw[:4] == b"HMX1"
-    assert raw[4:8] == (3).to_bytes(4, "little")
-    assert raw[8:16] == (1).to_bytes(8, "little")
-    assert raw[16:24] == (0b101).to_bytes(8, "little")
-    assert len(raw) == 24
-
-
-def test_code_file_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.hmx"
-    path.write_bytes(b"NOPE" + bytes(12))
-    with pytest.raises(ValueError, match="magic"):
-        read_codes(path)
-
-
-def test_code_file_rejects_truncation_and_trailing(tmp_path):
-    path = tmp_path / "codes.hmx"
-    words = Codebook([from_bits([1] * 12), from_bits([0] * 12)]).word_matrix()
-    write_codes(path, words, 12)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-3])
-    with pytest.raises(ValueError, match="truncated"):
-        read_codes(path)
-    path.write_bytes(raw + b"\x00")
-    with pytest.raises(ValueError, match="trailing"):
-        read_codes(path)
-
-
-@pytest.mark.parametrize("length", HMX1_LENGTHS)
-def test_code_file_every_prefix_is_rejected(tmp_path, length):
-    path, _ = hmx1_file(tmp_path, length, rows=2)
-    raw = path.read_bytes()
-    for end in range(len(raw)):
-        path.write_bytes(raw[:end])
-        with pytest.raises(ValueError, match="magic" if end < 4 else "truncated"):
-            read_codes(path)
-
-
-def test_code_file_huge_count_is_truncated_not_allocated(tmp_path):
-    # a header that declares 2**63 records with no body behind it
-    path = tmp_path / "huge.hmx"
-    for length in (1, 130):
-        path.write_bytes(b"HMX1" + struct.pack("<IQ", length, 2**63))
-        with pytest.raises(ValueError, match="truncated"):
-            read_codes(path)
-
-
-def test_code_file_header_only_and_zero_length(tmp_path):
-    path = tmp_path / "codes.hmx"
-    path.write_bytes(b"HMX1" + struct.pack("<IQ", 65, 0))
-    words, length = read_codes(path)
-    assert length == 65 and words.shape == (0, 2) and words.dtype == np.uint64
-    path.write_bytes(b"HMX1" + struct.pack("<IQ", 0, 1) + bytes(8))
-    with pytest.raises(ValueError, match="zero-length"):
-        read_codes(path)
-
-
-def test_code_file_rejects_nonzero_padding(tmp_path):
-    path = tmp_path / "codes.hmx"
-    path.write_bytes(b"HMX1" + struct.pack("<IQQ", 3, 1, 0b1101))  # bit 3 is padding
-    with pytest.raises(ValueError, match="padding"):
-        read_codes(path)
-    valid, words = hmx1_file(tmp_path, 65)
-    raw = bytearray(valid.read_bytes())
-    raw[-1] |= 0x80  # the top bit of the last word of the last row
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="padding"):
-        read_codes(path)
-    words[-1, -1] |= np.uint64(1 << 63)
-    with pytest.raises(ValueError, match="padding"):
-        write_codes(path, words, 65)
-    # a full last word has no padding to check
-    full = np.full((2, 1), 2**64 - 1, dtype=np.uint64)
-    write_codes(path, full, 64)
-    assert np.array_equal(read_codes(path)[0], full)
-
-
-def test_write_codes_validation(tmp_path):
-    path = tmp_path / "codes.hmx"
-    words = Codebook([from_bits([1] * 12)]).word_matrix()
-    with pytest.raises(ValueError, match="empty"):
-        write_codes(path, words[:0], 12)
-    with pytest.raises(ValueError, match="code length"):
-        write_codes(path, np.zeros((1, 0), dtype=np.uint64), 0)
-    with pytest.raises(ValueError, match="words per row"):
-        write_codes(path, words, 65)
-    with pytest.raises(ValueError, match="uint64"):
-        write_codes(path, words.astype(np.int64), 12)
-    assert not path.exists()

@@ -407,6 +407,24 @@ def test_csv_oversized_field_is_a_value_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("offset", [5, 12000], ids=["header", "past-first-chunk"])
+def test_csv_not_utf8_names_the_file(tmp_path, capsys, offset):
+    # the text decoder reads 8 KiB chunks: a bad byte in the first one stops
+    # the header, a later one the row parser (after loadtxt gave up on it)
+    text = "label,f0\n" + "".join(f"{i % 3},{i}.25\n" for i in range(2000))
+    raw = text.encode()
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(raw[:offset] + b"\xe9" + raw[offset:])
+    message = f"{path}: not UTF-8 text (invalid continuation byte)"
+    with pytest.raises(ValueError) as info:
+        load_csv(path)
+    assert str(info.value) == message
+    out_dir = tmp_path / "out"
+    assert cli_main(["train", "--data", str(path), "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 class NulRejectingReader:
     """``csv.reader`` as Python 3.10 has it: a NUL byte is a ``csv.Error``."""
 

@@ -2,10 +2,8 @@
 
 import json
 
-import numpy as np
 import pytest
 
-from hashbound.codes import Codebook, from_bits, write_codes
 from hashbound.encoder import TrainConfig, init_params, save_checkpoint
 from hashbound.fileio import atomic_open
 
@@ -58,20 +56,3 @@ def test_checkpoint_write_failing_midway_keeps_the_old_checkpoint(tmp_path, monk
         save_checkpoint(path, init_params(6, 10, 8, seed=2), config, epoch=3)
     assert path.read_bytes() == before
     assert names(tmp_path) == ["checkpoint.json"]
-
-
-def test_code_file_write_failing_midway_keeps_the_old_file(tmp_path):
-    path = tmp_path / "codes.hmx"
-    words = Codebook([from_bits([1, 0, 1]), from_bits([0, 1, 1])]).word_matrix()
-    write_codes(path, words, 3)
-    before = path.read_bytes()
-
-    class FailingWords(np.ndarray):
-        # the header is written by then; the body fails to serialize
-        def astype(self, *args, **kwargs):
-            raise OSError("disk full")
-
-    with pytest.raises(OSError, match="disk full"):
-        write_codes(path, words[::-1].view(FailingWords), 3)
-    assert path.read_bytes() == before
-    assert names(tmp_path) == ["codes.hmx"]
