@@ -464,6 +464,29 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Holds MemAvailable on Linux 3.14 and later.
+_MEMINFO = "/proc/meminfo"
+
+
+def _available_memory() -> int:
+    """Bytes available for new processes: ``MemAvailable``, else free pages.
+
+    ``SC_AVPHYS_PAGES`` is MemFree alone, which leaves out the reclaimable
+    page cache, so it is only the fallback where ``MemAvailable`` is missing.
+
+    Raises:
+        ValueError: if neither counter exists on this platform.
+    """
+    try:
+        with open(_MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024  # the file counts kB
+    except OSError:
+        pass
+    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _processes_fitting_in_free_memory() -> int | None:
     """How many processes the size of this one fit in free memory; None if unknown.
 
@@ -474,9 +497,9 @@ def _processes_fitting_in_free_memory() -> int | None:
     """
     try:
         page = os.sysconf("SC_PAGE_SIZE")
-        free = os.sysconf("SC_AVPHYS_PAGES") * page
         with open("/proc/self/statm", encoding="ascii") as fh:
             size = int(fh.read().split()[1]) * page  # resident pages
+        free = _available_memory()
     except (ValueError, OSError):  # no such counters on this platform
         return None
     return max(1, free // size)

@@ -318,6 +318,10 @@ def train(
     shuffle_rng = Xorshift64Star(config.seed, stream=_STREAM_SHUFFLE)
 
     train_features = dataset.features[splits.train]
+    db_features = dataset.features[splits.database]
+    db_labels = dataset.labels[splits.database]
+    val_features = dataset.features[splits.validation]
+    val_labels = dataset.labels[splits.validation]
     centers: ClassCenters | None = None
     if config.classwise:
         centers = update_centers(
@@ -370,15 +374,15 @@ def train(
                 sum_total += report.total
                 batches += 1
 
-            db_relaxed = forward(params, dataset.features[splits.database])
+            db_relaxed = forward(params, db_features)
             check_finite(db_relaxed, epoch)
-            val_relaxed = forward(params, dataset.features[splits.validation])
+            val_relaxed = forward(params, val_features)
             check_finite(val_relaxed, epoch)
             report = mean_average_precision(
                 pack_sign_rows(val_relaxed),
-                dataset.labels[splits.validation],
+                val_labels,
                 pack_sign_rows(db_relaxed),
-                dataset.labels[splits.database],
+                db_labels,
                 None,
                 config.code_bits,
             )

@@ -2,11 +2,14 @@
 
 Ranking is a full linear scan sorted by (distance ascending, database index
 ascending); ties are therefore resolved by database order, which makes every
-number here deterministic for fixed inputs.
+number here deterministic for fixed inputs.  A query's numbers then depend
+only on its code and its label, so each distinct (code, label) query is
+ranked once and its result is given back to every query that holds it
+(trained codes collapse, so most validation queries repeat one another).
 
-The scan walks the queries in blocks of about ``_CHUNK_PAIRS`` = 2**18
-(query, database row) pairs, so memory stays bounded however many queries
-there are.  A block holds its uint8/uint16 distances, their stable argsort
+The scan walks the distinct queries in blocks of about ``_CHUNK_PAIRS`` =
+2**18 (query, database row) pairs, so memory stays bounded however many
+queries there are.  A block holds its uint8/uint16 distances, their stable argsort
 (a radix sort for such narrow integers), the gathered labels, bool
 relevance, cumulative hits in the narrowest type that holds the database
 size, and float64 precision: about 30 bytes per pair, some 8 MB per block.
@@ -160,30 +163,43 @@ def mean_average_precision(
     if k is not None and k < 1:
         raise ValueError("k must be >= 1")
 
+    # each distinct (code, label) query is ranked once (see the module docstring)
+    key = np.column_stack([query_words.view(np.int64), query_labels])
+    _, first, inverse, counts = np.unique(
+        key, axis=0, return_index=True, return_inverse=True, return_counts=True
+    )
+    inverse = inverse.reshape(-1)  # numpy 2.0 gives it another shape
+    distinct_words, distinct_labels = query_words[first], query_labels[first]
+
     num_queries, db_size = len(query_words), len(database_words)
     cutoffs = _curve_cutoffs(db_size)
     positions = np.arange(1, db_size + 1, dtype=np.float64)
-    per_query = np.empty(num_queries)
-    per_query_at_k = np.empty(num_queries) if k is not None else None
+    ap = np.empty(len(first))
+    ap_at_k = np.empty(len(first)) if k is not None else None
     curve_hits = np.zeros(len(cutoffs), dtype=np.int64)
     curve_columns = np.array(cutoffs) - 1
     depth = db_size if k is None else min(k, db_size)
     hit_dtype = np.min_scalar_type(db_size)
     block = max(1, _CHUNK_PAIRS // db_size)
-    for lo in range(0, num_queries, block):
+    for lo in range(0, len(first), block):
         rows = slice(lo, lo + block)
-        dists = packed_hamming_matrix(query_words[rows], database_words)
+        dists = packed_hamming_matrix(distinct_words[rows], database_words)
         order = np.argsort(dists, axis=1, kind="stable")
-        relevance = database_labels[order] == query_labels[rows, None]
+        relevance = database_labels[order] == distinct_labels[rows, None]
         cum_hits = np.cumsum(relevance, axis=1, dtype=hit_dtype)
         precision = cum_hits / positions
         if k is not None:
             at_k = (precision[:, :k] * relevance[:, :k]).sum(axis=1)
-            per_query_at_k[rows] = _ap_rows(at_k, cum_hits[:, depth - 1])
+            ap_at_k[rows] = _ap_rows(at_k, cum_hits[:, depth - 1])
         # precision at the relevant positions, 0 elsewhere, summed per row
         np.multiply(precision, relevance, out=precision)
-        per_query[rows] = _ap_rows(precision.sum(axis=1), cum_hits[:, -1])
-        curve_hits += cum_hits[:, curve_columns].sum(axis=0, dtype=np.int64)
+        ap[rows] = _ap_rows(precision.sum(axis=1), cum_hits[:, -1])
+        # each distinct row's hits count once per query that holds it
+        curve_hits += (counts[rows, None] * cum_hits[:, curve_columns]).sum(
+            axis=0, dtype=np.int64
+        )
+    per_query = ap[inverse]
+    per_query_at_k = ap_at_k[inverse] if k is not None else None
 
     curve = [
         (cutoff, hits / (num_queries * cutoff))

@@ -615,13 +615,38 @@ def test_sweep_worker_death_is_a_runtime_error(tmp_path, monkeypatch, capfd):
 
 def test_sweep_runs_in_process_when_free_memory_fits_one_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    real_sysconf = os.sysconf
-    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_AVPHYS_PAGES"
-                        else real_sysconf(name))
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text("MemTotal: 8000000 kB\nMemFree: 6000000 kB\nMemAvailable: 4 kB\n",
+                       encoding="ascii")
+    monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
     entered = spy_on_blas_env(monkeypatch)
     assert main(["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"),
                  *FAST_TRAIN]) == 0
     assert entered == []
+
+
+@pytest.mark.parametrize(
+    "meminfo,available_kib",
+    [
+        ("MemTotal: 8000000 kB\nMemFree: 6000000 kB\nMemAvailable: 7000000 kB\n", 7000000),
+        ("MemTotal: 8000000 kB\nMemFree: 6000000 kB\n", None),  # before Linux 3.14
+        (None, None),  # no /proc
+    ],
+    ids=["MemAvailable", "no-MemAvailable", "no-meminfo"],
+)
+def test_available_memory_counts_reclaimable_cache(tmp_path, monkeypatch, meminfo,
+                                                   available_kib):
+    # MemAvailable when the kernel reports it, else the free pages alone
+    path = tmp_path / "meminfo"
+    if meminfo is not None:
+        path.write_text(meminfo, encoding="ascii")
+    monkeypatch.setattr(cli, "_MEMINFO", str(path))
+    real_sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: 3 if name == "SC_AVPHYS_PAGES"
+                        else real_sysconf(name))
+    expected = (3 * real_sysconf("SC_PAGE_SIZE") if available_kib is None
+                else available_kib * 1024)
+    assert cli._available_memory() == expected
 
 
 def test_sweep_memory_cap_ignores_the_inherited_peak(tmp_path, monkeypatch):

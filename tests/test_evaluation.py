@@ -366,6 +366,39 @@ def test_block_scan_matches_dense_oracle_on_a_larger_database(monkeypatch):
                              database_labels, k, 10)
 
 
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("length", [1, 6, 64, 65])
+def test_duplicate_queries_are_ranked_once(monkeypatch, chunk, length):
+    # Queries drawn from a 4-code x 3-label grid: the same code under several
+    # labels, the same label under several codes, and repeats spread over the
+    # query order.  Here ``chunk`` counts rows per block, so the distinct rows
+    # fall in one block each, in ragged blocks of 7, or all in one block.
+    n_db = 25
+    monkeypatch.setattr(evaluation, "_CHUNK_PAIRS", chunk * n_db)
+    ranked = []
+    real_matrix = evaluation.packed_hamming_matrix
+
+    def spy(query_words, database_words):
+        ranked.append(len(query_words))
+        return real_matrix(query_words, database_words)
+
+    monkeypatch.setattr(evaluation, "packed_hamming_matrix", spy)
+    rng = np.random.default_rng([length, chunk])
+    database_words = random_words(rng, n_db, length)
+    database_labels = rng.integers(0, 3, size=n_db)
+    query_words = random_words(rng, 4, length)[rng.integers(0, 4, size=40)]
+    query_labels = rng.integers(0, 3, size=40)
+    distinct = {(tuple(w), c) for w, c in zip(query_words.tolist(), query_labels.tolist())}
+    assert len(distinct) <= 12
+    for k in (None, 1, n_db, n_db + 5):
+        ranked.clear()
+        assert_matches_dense(
+            query_words, query_labels, database_words, database_labels, k, length
+        )
+        assert sum(ranked) == len(distinct)
+        assert max(ranked) <= min(chunk, len(distinct))
+
+
 def test_map_memory_does_not_grow_with_queries():
     # the dense form needs over 32 bytes per pair: about 500 MB at 128 x 100k
     rng = np.random.default_rng(12)
