@@ -12,7 +12,10 @@ and ``--out-dir`` directories get their missing parent directories created.
 ``sweep`` trains its points in one spawned process per available CPU (no
 more than there are points, nor than processes of the size this one has when
 the sweep starts fit in free memory), each process with one BLAS thread; its
-CSV rows and printed lines keep the order of the points.  A worker process
+CSV rows and printed lines keep the order of the points.  A point skips the
+per-epoch validation that ``train`` records in ``history.csv`` and keeps
+only its final query MAP.  A negative margin of 0 is warned about once per
+``train`` or ``sweep`` command, before any worker starts.  A worker process
 that dies is a runtime failure.  SIGTERM during a pooled sweep ends its
 workers and exits with status 143 (128 + the signal number).  A script
 that calls ``main(["sweep", ...])`` must do so under
@@ -31,6 +34,7 @@ import argparse
 import csv
 import functools
 import json
+import logging
 import os
 import sys
 import threading
@@ -39,7 +43,7 @@ from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .bounds import BoundProblem, bound_holds, derive_margins
+from .bounds import BoundProblem, MarginSet, bound_holds, derive_margins
 from .codes import correction_radius
 from .data import (
     DatasetSplits,
@@ -64,6 +68,8 @@ from .evaluation import EvalReport, mean_average_precision
 from .fileio import atomic_open
 
 __all__ = ["main", "entry_point"]
+
+logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -268,6 +274,19 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
+def _warn_on_zero_negative_margin(margins: list[MarginSet]) -> None:
+    """Log once if any run trains with a negative margin of 0.
+
+    Logged by the command, not the loss, so that a pooled sweep warns once
+    whichever workers train those points.
+    """
+    if any(m.negative_margin == 0 for m in margins):
+        logger.warning(
+            "negative margin is 0; using a unit denominator to keep the "
+            "loss finite (hinge location unchanged)"
+        )
+
+
 def _check_cutoff(args: argparse.Namespace) -> None:
     if args.k is not None and args.k < 1:
         raise _UsageError("--k must be >= 1")
@@ -366,7 +385,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _train_config(args)
     dataset = _load_dataset(args)
     splits = _make_splits(args, dataset)
-    training_margins(splits, config)
+    _warn_on_zero_negative_margin([training_margins(splits, config)])
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -451,7 +470,7 @@ def _parse_number_list(text: str, cast) -> list:
 def _sweep_point(splits: DatasetSplits, config: TrainConfig) -> float | str:
     """Train one point: its query MAP, or the message of its divergence."""
     try:
-        params, _ = train(splits, config)
+        params, _ = train(splits, config, validate=False)
     except TrainingDivergedError as exc:
         return str(exc)
     return _evaluate(params, splits, None).map
@@ -609,8 +628,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     dataset = _load_dataset(args)
     splits = _make_splits(args, dataset)
-    for _, _, config in configs:
-        training_margins(splits, config)
+    _warn_on_zero_negative_margin(
+        [training_margins(splits, config) for _, _, config in configs]
+    )
     # With more classes than codewords no margin is bound-derived (as in
     # EvalReport.target_distance), but any explicit margin still trains.
     derived = None

@@ -285,7 +285,7 @@ def training_margins(splits: DatasetSplits, config: TrainConfig) -> MarginSet:
 
 
 def train(
-    splits: DatasetSplits, config: TrainConfig
+    splits: DatasetSplits, config: TrainConfig, *, validate: bool = True
 ) -> tuple[EncoderParams, TrainHistory]:
     """Train the encoder on the train split; track validation MAP per epoch.
 
@@ -303,6 +303,11 @@ def train(
     the validation split queried against the database split, and the minimum
     pairwise distance among the per-class center codes of the database, both
     from one ``mean_average_precision`` call on packed word matrices.
+
+    With ``validate=False`` no epoch is ranked and ``records`` stays empty;
+    the params are the same bits.  Each epoch still ends with a forward pass
+    over the database and validation splits, so a divergence raises at the
+    same epoch with the same message.
 
     Raises:
         ValueError: where ``training_margins`` does.
@@ -378,6 +383,8 @@ def train(
             check_finite(db_relaxed, epoch)
             val_relaxed = forward(params, val_features)
             check_finite(val_relaxed, epoch)
+            if not validate:
+                continue
             report = mean_average_precision(
                 pack_sign_rows(val_relaxed),
                 val_labels,

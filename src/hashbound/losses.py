@@ -15,14 +15,13 @@ binarization; its gradient treats sgn(u_n) as a constant.  All values and
 gradients are accumulated in float64.
 
 A negative margin of exactly 0 would zero a denominator; that case keeps the
-hinge location and substitutes a unit denominator, logged once per process:
-so once per worker process in a pooled ``sweep``.
+hinge location and substitutes a unit denominator.  The CLI logs a warning
+for it once per command.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -37,9 +36,6 @@ __all__ = [
     "classwise_loss",
     "update_centers",
 ]
-
-logger = logging.getLogger(__name__)
-_warned_zero_negative = False
 
 
 def _as_code_batch(codes: np.ndarray) -> np.ndarray:
@@ -73,26 +69,23 @@ def _hinge(
     count times its squared margin (a unit denominator for a margin of 0);
     a kind with no entries contributes 0.  Returns ``(value, dtheta)``.
     """
-    global _warned_zero_negative
     loss = 0.0
     dtheta = np.zeros_like(theta)
     for mask, margin, clip in (
         (similar, float(margins.positive_margin), np.minimum),
         (dissimilar, float(margins.negative_margin), np.maximum),
     ):
-        count = int(mask.sum())
+        count = int(np.count_nonzero(mask))
         if not count:
             continue
-        if margin == 0 and not _warned_zero_negative:
-            logger.warning(
-                "negative margin is 0; using a unit denominator to keep the "
-                "loss finite (hinge location unchanged)"
-            )
-            _warned_zero_negative = True
-        hinge = clip(0.0, theta - margin) * mask
+        hinge = np.subtract(theta, margin)
+        clip(0.0, hinge, out=hinge)  # 0.0 first keeps the sign of zero entries
+        hinge *= mask
         scale = count * (margin**2 if margin != 0 else 1.0)
         loss += float((hinge**2).sum()) / scale
-        dtheta += 2.0 * hinge / scale
+        hinge *= 2.0
+        hinge /= scale
+        dtheta += hinge
     return loss, dtheta
 
 
@@ -116,8 +109,9 @@ def _pairwise(
 ) -> tuple[float, np.ndarray]:
     upper = _upper_pairs(codes.shape[0])
     same = labels[:, None] == labels[None, :]
-    loss, dtheta = _hinge(codes @ codes.T, upper & same, upper & ~same, margins)
-    return loss, (dtheta + dtheta.T) @ codes
+    loss, dtheta = _hinge(codes @ codes.T, upper & same, upper > same, margins)
+    dtheta += dtheta.T.copy()  # faster than numpy buffering the overlap of dtheta.T
+    return loss, dtheta @ codes
 
 
 def pairwise_loss(

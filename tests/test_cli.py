@@ -14,9 +14,11 @@ from types import SimpleNamespace
 
 import pytest
 
+import hashbound.encoder as encoder_module
 from hashbound import cli
 from hashbound.cli import main
-from hashbound.data import load_csv
+from hashbound.data import SplitSpec, generate_synthetic, load_csv, split_dataset
+from hashbound.encoder import TrainConfig
 
 FAST_DATA = [
     "--classes", "4", "--per-class", "30", "--dim", "8",
@@ -408,6 +410,50 @@ def test_sweep_multi_seed_rows(tmp_path):
     assert [line.split(",")[2] for line in lines] == ["0", "1"]
 
 
+def test_sweep_point_ranks_only_its_final_evaluation(monkeypatch):
+    calls = {"mean_average_precision": 0, "pack_sign_rows": 0}
+
+    def spy_on(module, name):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for module in (cli, encoder_module):
+        spy_on(module, "mean_average_precision")
+    spy_on(encoder_module, "pack_sign_rows")
+    dataset = generate_synthetic(num_classes=4, per_class=30, dim=8, seed=0)
+    splits = split_dataset(dataset, SplitSpec(4, 15, 4), seed=0)
+    result = cli._sweep_point(splits, TrainConfig(code_bits=8, epochs=3, batch_size=16))
+    assert isinstance(result, float)
+    # one ranking of the query codes against the database codes, packed once each
+    assert calls == {"mean_average_precision": 1, "pack_sign_rows": 2}
+
+
+@pytest.mark.parametrize(
+    "zero_margin,other_margin",
+    [
+        (["train", "--margin-override", "0"], ["train", "--margin-override", "-2"]),
+        (["sweep", "--margins=0,-2,0", "--seeds", "0,1"], ["sweep", "--margins=-2"]),
+    ],
+    ids=["train", "sweep"],
+)
+def test_zero_negative_margin_warns_once_per_command(tmp_path, monkeypatch, caplog,
+                                                     zero_margin, other_margin):
+    # one CPU, so the sweep points train in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    out = {"train": ["--out-dir", str(tmp_path / "run")],
+           "sweep": ["--out", str(tmp_path / "s.csv")]}[zero_margin[0]]
+    for argv, expected in ((zero_margin, 1), (zero_margin, 1), (other_margin, 0)):
+        caplog.clear()
+        assert main([*argv, *out, *FAST_TRAIN, "--lr", "0.01"]) == 0
+        warnings = [r for r in caplog.records if "unit denominator" in r.message]
+        assert [r.levelname for r in warnings] == ["WARNING"] * expected
+
+
 def sweep_on_cpus(monkeypatch, capfd, cpus, out, argv):
     """Run a sweep as if ``cpus`` CPUs were available: exit code, CSV, stdout, stderr.
 
@@ -427,8 +473,11 @@ def sweep_on_cpus(monkeypatch, capfd, cpus, out, argv):
         (["--quant-weights", "0.002,1e12", *FAST_TRAIN], 2, [2]),
         # 4 workers: more than the cores of a small machine
         (["--margins=-8,-6,-4", "--seeds", "0,3", *FAST_TRAIN], 0, [2, 4]),
+        # the zero-margin warning comes from this process, not from the
+        # workers; both points diverge at this learning rate
+        (["--margins=0", "--seeds", "0,1", *FAST_TRAIN], 2, [2, 4]),
     ],
-    ids=["failing-point", "multi-seed"],
+    ids=["failing-point", "multi-seed", "zero-margin"],
 )
 def test_sweep_pool_output_matches_one_worker(tmp_path, monkeypatch, capfd,
                                               argv, expected_code, pooled_cpus):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -486,6 +487,46 @@ def test_train_diverges_at_the_reference_loop_epoch(learning_rate, epoch):
         train(splits, config)
     assert str(got.value) == str(want.value)
     assert f"at epoch {epoch};" in str(got.value)
+
+
+@pytest.mark.parametrize("classwise", [False, True], ids=["pairwise", "classwise"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_train_without_validation_gives_the_same_params(classwise, seed):
+    splits = small_splits(seed=seed)
+    config = TrainConfig(code_bits=8, epochs=4, batch_size=16, seed=seed,
+                         classwise=classwise)
+    params, history = train(splits, config)
+    lean_params, lean_history = train(splits, config, validate=False)
+    for f in dataclasses.fields(EncoderParams):
+        assert np.array_equal(getattr(lean_params, f.name), getattr(params, f.name)), f.name
+    assert lean_history.records == []
+    assert lean_history.margins == history.margins
+
+
+def test_train_without_validation_ranks_nothing(monkeypatch):
+    import hashbound.encoder as encoder_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called by train(validate=False)")
+
+    monkeypatch.setattr(encoder_module, "mean_average_precision", forbidden)
+    monkeypatch.setattr(encoder_module, "pack_sign_rows", forbidden)
+    train(small_splits(), TrainConfig(code_bits=8, epochs=2, batch_size=16),
+          validate=False)
+
+
+def test_train_without_validation_still_diverges_at_epoch_end():
+    # one batch of all 60 train rows and one epoch: the batch's loss is
+    # finite, so only the epoch-end forward passes can see the step overflow
+    splits = small_splits()
+    config = TrainConfig(code_bits=8, epochs=1, batch_size=60,
+                         learning_rate=sys.float_info.max)
+    with pytest.raises(TrainingDivergedError) as want:
+        train(splits, config)
+    with pytest.raises(TrainingDivergedError) as got:
+        train(splits, config, validate=False)
+    assert str(got.value) == str(want.value)
+    assert "at epoch 1;" in str(got.value)
 
 
 def test_train_config_rejects_bad_center_momentum():

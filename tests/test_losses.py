@@ -5,7 +5,6 @@ differences of the loss *value*, sampled away from hinge kinks and the sign
 discontinuity of the quantization term.
 """
 
-import logging
 import math
 from types import SimpleNamespace
 
@@ -120,6 +119,63 @@ def test_pairwise_matches_oracle_edge_batches(labels):
     for margins in (MARGINS_12, margins_from_negative(12, 0)):
         codes = rng.uniform(-2.0, 2.0, size=(len(labels), 12))
         assert_matches_oracle(codes, np.array(labels), margins)
+
+
+def previous_hinge(theta, similar, dissimilar, margins):
+    """The hinge kernel before it worked in place: one new array per step."""
+    loss = 0.0
+    dtheta = np.zeros_like(theta)
+    for mask, margin, clip in (
+        (similar, float(margins.positive_margin), np.minimum),
+        (dissimilar, float(margins.negative_margin), np.maximum),
+    ):
+        count = int(mask.sum())
+        if not count:
+            continue
+        hinge = clip(0.0, theta - margin) * mask
+        scale = count * (margin**2 if margin != 0 else 1.0)
+        loss += float((hinge**2).sum()) / scale
+        dtheta += 2.0 * hinge / scale
+    return loss, dtheta
+
+
+def previous_pairwise(codes, labels, margins):
+    upper = np.triu(np.ones((len(labels), len(labels)), dtype=bool), k=1)
+    same = labels[:, None] == labels[None, :]
+    loss, dtheta = previous_hinge(codes @ codes.T, upper & same, upper & ~same, margins)
+    return loss, (dtheta + dtheta.T) @ codes
+
+
+def assert_same_bits(got, want):
+    assert type(got[0]) is type(want[0]) is float  # history.csv writes its repr
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert np.array_equal(np.signbit(got[1]), np.signbit(want[1]))
+
+
+@pytest.mark.parametrize("margins", [
+    MARGINS_12,
+    margins_from_negative(12, 0),  # unit denominator
+    margins_from_negative(12, 4),
+], ids=["neg-6", "neg-0", "neg+4"])
+def test_hinge_matches_previous_kernel_exactly(margins):
+    rng = np.random.default_rng(13)
+    for trial in range(150):
+        n = (2, 64, int(rng.integers(2, 70)))[trial % 3]
+        codes = rng.uniform(-2.0, 2.0, size=(n, 12))
+        codes[rng.random(codes.shape) < 0.05] = 0.0  # zero thetas and signed zeros
+        labels = rng.integers(0, int(rng.integers(1, 5)), size=n)  # one class at times
+        assert_same_bits(pairwise_loss(codes, labels, margins),
+                         previous_pairwise(codes, labels, margins))
+        centers = make_centers(rng.uniform(-1.0, 1.0, size=(4, 12)))
+        centers.counts[int(rng.integers(0, 4))] = 0  # one uninitialized center
+        batch = labels[centers.counts[labels] > 0]
+        if len(batch):
+            own = batch[:, None] == np.arange(4)
+            loss, dtheta = previous_hinge(codes[: len(batch)] @ centers.values.T, own,
+                                          ~own & (centers.counts > 0), margins)
+            assert_same_bits(classwise_loss(codes[: len(batch)], batch, centers, margins),
+                             (loss, dtheta @ centers.values))
 
 
 def test_pair_kind_counts_normalize():
@@ -251,16 +307,11 @@ def test_joint_scaling_invariance():
         assert value == pytest.approx(base, rel=1e-12)
 
 
-def test_zero_negative_margin_uses_unit_denominator(caplog):
-    import hashbound.losses as losses_module
-
-    losses_module._warned_zero_negative = False
+def test_zero_negative_margin_uses_unit_denominator():
     margins = SimpleNamespace(positive_margin=4.0, negative_margin=0.0)
     codes = np.array([[1.0, 1.0], [1.0, 1.0]])  # theta = 2 > 0
-    with caplog.at_level(logging.WARNING, logger="hashbound.losses"):
-        value, _ = pairwise_loss(codes, DISSIMILAR, margins)
+    value, _ = pairwise_loss(codes, DISSIMILAR, margins)
     assert value == pytest.approx(4.0)  # (2 - 0)^2 / max(0, 1)
-    assert any("unit denominator" in r.message for r in caplog.records)
 
 
 def test_binary_codes_negative_loss_iff_below_target_distance():
