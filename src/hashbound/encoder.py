@@ -131,7 +131,11 @@ def _check_features(params: EncoderParams, features: np.ndarray) -> np.ndarray:
 
 
 def _hidden(params: EncoderParams, features: np.ndarray) -> np.ndarray:
-    return np.tanh(features @ params.hidden_weights.T + params.hidden_bias)
+    # in place: the same bits as tanh(x @ W.T + b), with no (n, H) temporaries
+    h = features @ params.hidden_weights.T
+    h += params.hidden_bias
+    np.tanh(h, out=h)
+    return h
 
 
 def _codes(params: EncoderParams, hidden: np.ndarray) -> np.ndarray:
@@ -141,6 +145,30 @@ def _codes(params: EncoderParams, hidden: np.ndarray) -> np.ndarray:
 def forward(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     """Relaxed codes for a feature batch, shape (n, code_bits)."""
     return _codes(params, _hidden(params, _check_features(params, features)))
+
+
+# Far enough below float64's 1.8e308 that rounding cannot carry a sum past it.
+_FINITE_LIMIT = 1e300
+
+
+def _forward_is_finite(params: EncoderParams, max_abs_feature: float) -> bool:
+    """True only if ``forward`` is finite on all finite features with |x| <= the bound.
+
+    Each hidden pre-activation is at most max_j sum_k |W_h[j,k]| * X +
+    max |b_h| in magnitude, and so is every partial sum of it; tanh then
+    maps into [-1, 1], so output i is at most sum_j |W_o[i,j]| + |b_o[i]|.
+    With both below ``_FINITE_LIMIT`` no inf or nan can arise.  A nan or inf
+    weight, or a product that overflows, fails the comparison, so False
+    means "not proven", not "not finite".
+    """
+    hidden = (
+        np.abs(params.hidden_weights).sum(axis=1).max() * max_abs_feature
+        + np.abs(params.hidden_bias).max()
+    )
+    output = (
+        np.abs(params.output_weights).sum(axis=1) + np.abs(params.output_bias)
+    ).max()
+    return bool(hidden < _FINITE_LIMIT and output < _FINITE_LIMIT)
 
 
 def _gradients(
@@ -305,9 +333,13 @@ def train(
     from one ``mean_average_precision`` call on packed word matrices.
 
     With ``validate=False`` no epoch is ranked and ``records`` stays empty;
-    the params are the same bits.  Each epoch still ends with a forward pass
-    over the database and validation splits, so a divergence raises at the
-    same epoch with the same message.
+    the params are the same bits.  An epoch end then runs no forward pass
+    when a bound on the weights proves that the database and validation
+    codes are finite: with X the largest |x| in those splits,
+    max_j sum_k |W_h[j,k]| * X + max |b_h| and
+    max_i (sum_j |W_o[i,j]| + |b_o[i]|) both below 1e300.  Only when the
+    bound fails does it run both forward passes and check them, so a
+    divergence still raises at the same epoch with the same message.
 
     Raises:
         ValueError: where ``training_margins`` does.
@@ -327,6 +359,7 @@ def train(
     db_labels = dataset.labels[splits.database]
     val_features = dataset.features[splits.validation]
     val_labels = dataset.labels[splits.validation]
+    max_abs_feature = max(np.abs(db_features).max(), np.abs(val_features).max())
     centers: ClassCenters | None = None
     if config.classwise:
         centers = update_centers(
@@ -379,10 +412,11 @@ def train(
                 sum_total += report.total
                 batches += 1
 
-            db_relaxed = forward(params, db_features)
-            check_finite(db_relaxed, epoch)
-            val_relaxed = forward(params, val_features)
-            check_finite(val_relaxed, epoch)
+            if validate or not _forward_is_finite(params, max_abs_feature):
+                db_relaxed = forward(params, db_features)
+                check_finite(db_relaxed, epoch)
+                val_relaxed = forward(params, val_features)
+                check_finite(val_relaxed, epoch)
             if not validate:
                 continue
             report = mean_average_precision(

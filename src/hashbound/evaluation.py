@@ -208,9 +208,9 @@ def mean_average_precision(
 
     min_dist: int | None = None
     target: int | None = None
-    num_classes = len(np.unique(database_labels))
+    centers = class_center_codes(database_words, length, database_labels)
+    num_classes = len(centers)
     if num_classes >= 2:
-        centers = class_center_codes(database_words, length, database_labels)
         min_dist = codebook_min_distance(centers)
         if num_classes <= 2**length:
             target = solve_target_distance(BoundProblem(length, num_classes))

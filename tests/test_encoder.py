@@ -11,11 +11,14 @@ from conftest import relative_error
 from hashbound.bounds import BoundProblem, derive_margins
 from hashbound.data import SplitSpec, generate_synthetic, split_dataset
 from hashbound.encoder import (
+    _FINITE_LIMIT,
     _STREAM_SHUFFLE,
     EncoderParams,
     EpochRecord,
     TrainConfig,
     TrainingDivergedError,
+    _forward_is_finite,
+    _hidden,
     backward,
     encode,
     forward,
@@ -116,6 +119,22 @@ def test_forward_matches_loop_oracle():
     params = init_params(7, 9, 5, seed=3)
     x = rng.normal(size=(6, 7))
     assert np.max(np.abs(forward(params, x) - oracle_forward(params, x))) < 1e-10
+
+
+def previous_hidden(params: EncoderParams, features: np.ndarray) -> np.ndarray:
+    """The hidden layer as it was written before it was built in place."""
+    return np.tanh(features @ params.hidden_weights.T + params.hidden_bias)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 64, 900, 5000])
+def test_hidden_matches_previous_body_exactly(rows):
+    rng = np.random.default_rng(rows)
+    params = init_params(32, 64, 12, seed=rows)
+    params = dataclasses.replace(params, hidden_bias=rng.normal(size=64))
+    x = rng.normal(size=(rows, 32))
+    # 1e3 saturates tanh to +-1 on nearly every unit
+    for scale in (1.0, 1e3):
+        assert bits_equal(_hidden(params, scale * x), previous_hidden(params, scale * x))
 
 
 def test_forward_rejects_wrong_dim():
@@ -527,6 +546,111 @@ def test_train_without_validation_still_diverges_at_epoch_end():
         train(splits, config, validate=False)
     assert str(got.value) == str(want.value)
     assert "at epoch 1;" in str(got.value)
+
+
+def random_magnitudes(rng, shape, top, special_share):
+    """Signed values from 1e-3 to 10**top, some of them inf or nan."""
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3, top, size=shape)
+    special = rng.random(size=shape)
+    values[special < special_share / 2] = np.inf
+    values[special > 1 - special_share / 2] = np.nan
+    return values
+
+
+def test_forward_is_finite_whenever_the_bound_says_so():
+    rng = np.random.default_rng(0)
+    proven = unproven = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2000):
+            d, h, l = rng.integers(1, 6, size=3)
+            top, special_share = rng.uniform(-3, 300), rng.choice([0.0, 0.05])
+            params = EncoderParams(*(
+                random_magnitudes(rng, shape, top, special_share)
+                for shape in ((h, d), (h,), (l, h), (l,))
+            ))
+            max_abs_feature = 10.0 ** rng.uniform(-3, 300)
+            if not _forward_is_finite(params, max_abs_feature):
+                unproven += 1
+                continue
+            proven += 1
+            # row j follows the signs of hidden row j: no cancellation, the
+            # largest pre-activation that features of magnitude X can give
+            signs = np.where(params.hidden_weights < 0, -1.0, 1.0)
+            features = max_abs_feature * np.vstack([signs, -signs])
+            assert np.isfinite(forward(params, features)).all()
+            pre = features @ params.hidden_weights.T + params.hidden_bias
+            assert np.abs(pre).max() < _FINITE_LIMIT * (1 + 1e-12)
+    assert proven > 300 and unproven > 300
+
+
+def test_forward_is_finite_refuses_overflowing_sums():
+    one = np.ones((1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the hidden sum overflows; tanh saturates it, so False means
+        # "not proven" and the codes are still finite
+        hidden = EncoderParams(np.full((2, 1), 1e160), np.zeros(2),
+                               np.ones((1, 2)), np.zeros(1))
+        assert not _forward_is_finite(hidden, 1e160)
+        assert np.isinf(1e160 * one @ hidden.hidden_weights.T).all()
+        # the output sum overflows: 2 * tanh(1) * 1.5e308 is inf
+        output = EncoderParams(np.ones((2, 1)), np.zeros(2),
+                               np.full((1, 2), 1.5e308), np.zeros(1))
+        assert not _forward_is_finite(output, 1.0)
+        assert np.isinf(forward(output, one)).all()
+
+
+@pytest.mark.parametrize("classwise,calls", [(False, 0), (True, 1)],
+                         ids=["pairwise", "classwise"])
+def test_train_without_validation_runs_no_epoch_end_forward(monkeypatch, classwise, calls):
+    import hashbound.encoder as encoder_module
+
+    seen = []
+
+    def spy(params, features):
+        seen.append(len(features))
+        return forward(params, features)
+
+    monkeypatch.setattr(encoder_module, "forward", spy)
+    splits = small_splits()
+    train(splits, TrainConfig(code_bits=8, epochs=4, batch_size=16, classwise=classwise),
+          validate=False)
+    # classwise: only the center init, over the train split
+    assert seen == [len(splits.train)] * calls
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"classwise": True},
+        {"learning_rate": 1e12},
+        {"learning_rate": 1e3},
+        {"learning_rate": sys.float_info.max, "batch_size": 60, "epochs": 1},
+    ],
+    ids=["pairwise", "classwise", "diverges-epoch-1", "diverges-epoch-2",
+         "diverges-at-epoch-end"],
+)
+def test_train_without_validation_matches_the_unproven_path(monkeypatch, overrides):
+    import hashbound.encoder as encoder_module
+
+    splits = small_splits()
+    config = TrainConfig(**{"code_bits": 8, "epochs": 5, "batch_size": 16, **overrides})
+
+    def run():
+        try:
+            return train(splits, config, validate=False)[0]
+        except TrainingDivergedError as exc:
+            return str(exc)
+
+    proven = run()
+    monkeypatch.setattr(encoder_module, "_forward_is_finite", lambda *args: False)
+    unproven = run()
+    diverged = "learning_rate" in overrides
+    assert isinstance(proven, str) == isinstance(unproven, str) == diverged
+    if diverged:
+        assert proven == unproven
+    else:
+        assert params_equal(proven, unproven)
 
 
 def test_train_config_rejects_bad_center_momentum():
