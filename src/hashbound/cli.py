@@ -9,18 +9,11 @@ file that cannot be decoded as UTF-8 or parsed as JSON, names an unknown
 field or gives a value of the wrong type is a usage error.  ``--out`` files
 and ``--out-dir`` directories get their missing parent directories created.
 
-``sweep`` trains its points in one spawned process per available CPU (no
-more than there are points, nor than processes of the size this one has when
-the sweep starts fit in free memory), each process with one BLAS thread; its
-CSV rows and printed lines keep the order of the points.  A point skips the
+``sweep`` trains its points one after another in this process; its CSV rows
+and printed lines follow the order of the points.  A point skips the
 per-epoch validation that ``train`` records in ``history.csv`` and keeps
 only its final query MAP.  A negative margin of 0 is warned about once per
-``train`` or ``sweep`` command, before any worker starts.  A worker process
-that dies is a runtime failure.  SIGTERM during a pooled sweep ends its
-workers and exits with status 143 (128 + the signal number).  A script
-that calls ``main(["sweep", ...])`` must do so under
-``if __name__ == "__main__":``, because spawned workers import the main
-module again.
+``train`` or ``sweep`` command, before the first point trains.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 All outputs are machine readable (JSON / CSV) and byte-identical across
@@ -32,13 +25,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import logging
-import os
 import sys
-import threading
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -277,8 +266,8 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 def _warn_on_zero_negative_margin(margins: list[MarginSet]) -> None:
     """Log once if any run trains with a negative margin of 0.
 
-    Logged by the command, not the loss, so that a pooled sweep warns once
-    whichever workers train those points.
+    Logged by the command, not the loss, so that a sweep warns once however
+    many of its points train with that margin.
     """
     if any(m.negative_margin == 0 for m in margins):
         logger.warning(
@@ -476,130 +465,6 @@ def _sweep_point(splits: DatasetSplits, config: TrainConfig) -> float | str:
     return _evaluate(params, splits, None).map
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity outside Linux
-        return os.cpu_count() or 1
-
-
-# Holds MemAvailable on Linux 3.14 and later.
-_MEMINFO = "/proc/meminfo"
-
-
-def _available_memory() -> int:
-    """Bytes available for new processes: ``MemAvailable``, else free pages.
-
-    ``SC_AVPHYS_PAGES`` is MemFree alone, which leaves out the reclaimable
-    page cache, so it is only the fallback where ``MemAvailable`` is missing.
-
-    Raises:
-        ValueError: if neither counter exists on this platform.
-    """
-    try:
-        with open(_MEMINFO, encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024  # the file counts kB
-    except OSError:
-        pass
-    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _processes_fitting_in_free_memory() -> int | None:
-    """How many processes the size of this one fit in free memory; None if unknown.
-
-    A sweep worker imports the same modules, holds its own copy of the splits
-    and trains what this process would, so this process's current RSS stands
-    in for a worker's.  Not its peak: Linux carries ``ru_maxrss`` across
-    ``exec``, so the peak can be the launching process's.
-    """
-    try:
-        page = os.sysconf("SC_PAGE_SIZE")
-        with open("/proc/self/statm", encoding="ascii") as fh:
-            size = int(fh.read().split()[1]) * page  # resident pages
-        free = _available_memory()
-    except (ValueError, OSError):  # no such counters on this platform
-        return None
-    return max(1, free // size)
-
-
-def _sweep_results(splits: DatasetSplits, configs: list[TrainConfig]):
-    """Yield ``_sweep_point`` of each config, in order.
-
-    The points run in one spawned process per available CPU (no more than
-    there are points, nor than fit in free memory), each with one BLAS thread
-    so the processes do not oversubscribe the cores; a single worker runs
-    them in this process.  While the pool lives, SIGTERM exits with status
-    143; on any way out before the last point, the queued points are
-    cancelled and the running workers ended, so no worker outlives the sweep.
-    """
-    point = functools.partial(_sweep_point, splits)
-    workers = min(len(configs), _available_cpus(),
-                  _processes_fitting_in_free_memory() or len(configs))
-    if workers == 1:
-        yield from map(point, configs)
-        return
-    # Imported here: at module level they would slow every CLI start.
-    import concurrent.futures
-    import multiprocessing
-
-    earlier_children = set(multiprocessing.active_children())
-    try:
-        with _exit_on_sigterm(), concurrent.futures.ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("spawn"),
-        ) as pool:
-            try:
-                # map submits every point, which starts every worker, before it returns
-                with _one_blas_thread():
-                    results = pool.map(point, configs)
-                yield from results
-            except BaseException:
-                for worker in set(multiprocessing.active_children()) - earlier_children:
-                    worker.terminate()
-                pool.shutdown(cancel_futures=True)  # waits for the workers to end
-                raise
-    except concurrent.futures.BrokenExecutor as exc:
-        raise _RuntimeFailure(f"a sweep worker process died: {exc}") from exc
-
-
-@contextmanager
-def _exit_on_sigterm():
-    """Turn SIGTERM into ``SystemExit(143)`` inside the block, so cleanup runs."""
-    import signal
-
-    def handler(signum, frame):
-        raise SystemExit(128 + signum)
-
-    if threading.current_thread() is not threading.main_thread():
-        yield  # only the main thread can set a signal handler
-        return
-    previous = signal.signal(signal.SIGTERM, handler)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextmanager
-def _one_blas_thread():
-    """Set the BLAS thread counts to 1 for processes started inside the block."""
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "out")
     if (args.margins is None) == (args.quant_weights is None):
@@ -642,9 +507,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _output_file(args.out)
 
     rows = []
-    results = _sweep_results(splits, [cfg for _, _, cfg in configs])
-    # strict=True also runs the generator to its end, which shuts the pool down
-    for (value, seed, _), result in zip(configs, results, strict=True):
+    for value, seed, config in configs:
+        result = _sweep_point(splits, config)
         if isinstance(result, str):
             print(f"{parameter}={value} seed={seed}: {result}", file=sys.stderr)
             rows.append([parameter, value, seed, "", "failed", value == derived])

@@ -9,6 +9,7 @@ the searchable database).
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -93,8 +94,8 @@ def generate_synthetic(
         raise ValueError("need at least two classes")
     if per_class < 1 or dim < 1:
         raise ValueError("per_class and dim must be >= 1")
-    if center_scale < 0 or noise_sigma < 0:
-        raise ValueError("center_scale and noise_sigma must be >= 0")
+    if not all(math.isfinite(v) and v >= 0 for v in (center_scale, noise_sigma)):
+        raise ValueError("center_scale and noise_sigma must be finite and >= 0")
     rng = Xorshift64Star(seed)
     centers = np.zeros((num_classes, dim))
     for c in range(num_classes):

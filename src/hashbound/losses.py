@@ -22,7 +22,6 @@ for it once per command.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,31 +139,19 @@ def quantization_loss(codes: np.ndarray) -> tuple[float, np.ndarray]:
     return _quantization(_as_code_batch(codes))
 
 
-def _isclose(a: float, b: float) -> bool:
-    """``np.isclose(a, b, equal_nan=True)`` for two floats."""
-    return (
-        a == b  # equal infinities
-        or (math.isfinite(b) and abs(a - b) <= 1e-8 + 1e-5 * abs(b))
-        or (math.isnan(a) and math.isnan(b))
-    )
-
-
 @dataclass(frozen=True)
 class LossReport:
     """One evaluation of the combined objective."""
 
     pairwise: float
     quantization: float
-    total: float
     code_grads: np.ndarray
     quant_weight: float
 
-    def __post_init__(self) -> None:
-        # equal_nan keeps this check out of the way on a diverging run; the
-        # training loop is responsible for catching non-finite totals
-        expected = self.pairwise + self.quant_weight * self.quantization
-        if not _isclose(self.total, expected):
-            raise ValueError("total must equal pairwise + quant_weight * quantization")
+    @property
+    def total(self) -> float:
+        """``pairwise + quant_weight * quantization``, derived so it cannot disagree."""
+        return self.pairwise + self.quant_weight * self.quantization
 
 
 @dataclass(frozen=True)
@@ -264,7 +251,6 @@ def total_loss(
     return LossReport(
         pairwise=pair_value,
         quantization=quan_value,
-        total=pair_value + quant_weight * quan_value,
         code_grads=pair_grads + quant_weight * quan_grads,
         quant_weight=quant_weight,
     )

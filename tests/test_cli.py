@@ -6,11 +6,8 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -363,6 +360,24 @@ def test_train_rejects_non_finite_hyperparameters(tmp_path, capsys, flags):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--center-scale", "nan"], ["--noise-sigma", "inf"], ["--noise-sigma", "-1"]],
+    ids=["center-scale-nan", "noise-sigma-inf", "noise-sigma-negative"],
+)
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_synthetic_data_flags_must_be_finite(tmp_path, capsys, command, flags):
+    new = tmp_path / "new"
+    argv = {"gen-data": ["gen-data", *FAST_DATA[:6], "--out", str(new / "data.csv")],
+            "train": ["train", *FAST_TRAIN, "--out-dir", str(new)]}[command]
+    assert main([*argv, *flags]) == 1
+    # the message names both flags, and nothing is written
+    assert capsys.readouterr().err == (
+        "error: center_scale and noise_sigma must be finite and >= 0\n"
+    )
+    assert not new.exists()
+
+
 def test_sweep_rejects_non_finite_weight_before_training(tmp_path, capsys):
     sweep_csv = tmp_path / "lambda.csv"
     code = main(["sweep", "--quant-weights", "nan,0.1", "--out", str(sweep_csv),
@@ -441,10 +456,8 @@ def test_sweep_point_ranks_only_its_final_evaluation(monkeypatch):
     ],
     ids=["train", "sweep"],
 )
-def test_zero_negative_margin_warns_once_per_command(tmp_path, monkeypatch, caplog,
+def test_zero_negative_margin_warns_once_per_command(tmp_path, caplog,
                                                      zero_margin, other_margin):
-    # one CPU, so the sweep points train in this process
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     out = {"train": ["--out-dir", str(tmp_path / "run")],
            "sweep": ["--out", str(tmp_path / "s.csv")]}[zero_margin[0]]
     for argv, expected in ((zero_margin, 1), (zero_margin, 1), (other_margin, 0)):
@@ -454,181 +467,73 @@ def test_zero_negative_margin_warns_once_per_command(tmp_path, monkeypatch, capl
         assert [r.levelname for r in warnings] == ["WARNING"] * expected
 
 
-def sweep_on_cpus(monkeypatch, capfd, cpus, out, argv):
-    """Run a sweep as if ``cpus`` CPUs were available: exit code, CSV, stdout, stderr.
-
-    ``capfd`` captures at the file-descriptor level, so anything a worker
-    process writes shows up too.
-    """
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
+def run_sweep(capfd, out, argv):
+    """Run a sweep: its exit code, CSV bytes (None if not written), stdout, stderr."""
     code = main(["sweep", *argv, "--out", str(out)])
     captured = capfd.readouterr()
     return code, out.read_bytes() if out.exists() else None, captured.out, captured.err
 
 
-@pytest.mark.parametrize(
-    "argv,expected_code,pooled_cpus",
-    [
-        (["--quant-weights", "0.002,1e12", *FAST_TRAIN], 2, [2]),
-        # 4 workers: more than the cores of a small machine
-        (["--margins=-8,-6,-4", "--seeds", "0,3", *FAST_TRAIN], 0, [2, 4]),
-        # the zero-margin warning comes from this process, not from the
-        # workers; both points diverge at this learning rate
-        (["--margins=0", "--seeds", "0,1", *FAST_TRAIN], 2, [2, 4]),
-    ],
-    ids=["failing-point", "multi-seed", "zero-margin"],
-)
-def test_sweep_pool_output_matches_one_worker(tmp_path, monkeypatch, capfd,
-                                              argv, expected_code, pooled_cpus):
-    one = sweep_on_cpus(monkeypatch, capfd, 1, tmp_path / "one.csv", argv)
-    assert one[0] == expected_code
-    for cpus in pooled_cpus:
-        assert sweep_on_cpus(monkeypatch, capfd, cpus, tmp_path / f"{cpus}.csv", argv) == one
-    # a header, then one CSV row and one printed line per point
-    assert one[1].count(b"\r\n") == 1 + len(one[2].splitlines()) + len(one[3].splitlines())
+def train_in_this_process(splits, config):
+    """Stands in for ``cli._sweep_point``: the id of the process that trains the point."""
+    return float(os.getpid())
 
 
-def spy_on_blas_env(monkeypatch):
-    """Wrap ``cli._one_blas_thread``; the list gets the BLAS variables set inside it."""
-    entered = []
-    real = cli._one_blas_thread
-
-    @contextmanager
-    def spy():
-        with real():
-            entered.append({name: os.environ.get(name) for name in cli._BLAS_THREAD_VARS})
-            yield
-
-    monkeypatch.setattr(cli, "_one_blas_thread", spy)
-    return entered
-
-
-def test_pooled_sweep_leaves_environ_unchanged(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("MKL_NUM_THREADS", "")
-    entered = spy_on_blas_env(monkeypatch)
-    before = dict(os.environ)
-    sigterm_handler = signal.getsignal(signal.SIGTERM)
-    assert main(["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"),
-                 *FAST_TRAIN]) == 0
-    assert dict(os.environ) == before
-    assert signal.getsignal(signal.SIGTERM) is sigterm_handler
-    # the pool started its workers with one BLAS thread each
-    assert entered == [dict.fromkeys(cli._BLAS_THREAD_VARS, "1")]
+def test_sweep_trains_every_point_in_process(tmp_path, monkeypatch, capfd):
+    # more CPUs than points: the points still train here, one after another
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(cli, "_sweep_point", train_in_this_process)
+    code, table, out, err = run_sweep(capfd, tmp_path / "s.csv",
+                                      ["--margins=-8,-6,-4", *FAST_TRAIN])
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in table.decode().splitlines()[1:]]
+    assert [(row[1], float(row[3])) for row in rows] == [
+        (value, os.getpid()) for value in ("-8", "-6", "-4")
+    ]
+    # one printed line per point, in the order of the points
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"negative_margin={value} seed=0" for value in (-8, -6, -4)
+    ]
 
 
-def test_pooled_sweep_outside_the_main_thread(tmp_path, monkeypatch):
-    # only the main thread can set a signal handler; the sweep runs without one
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    entered = spy_on_blas_env(monkeypatch)
-    codes = []
-    argv = ["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"), *FAST_TRAIN]
-    thread = threading.Thread(target=lambda: codes.append(main(argv)))
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
-    assert codes == [0]
-    assert len(entered) == 1
-
-
-def test_sweep_one_worker_runs_in_process(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    entered = spy_on_blas_env(monkeypatch)
-    assert main(["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"),
-                 *FAST_TRAIN]) == 0
-    assert entered == []
-
-
-def test_sweep_value_error_in_a_worker_is_a_usage_error(tmp_path, monkeypatch, capfd):
+def test_sweep_value_error_in_a_worker_is_a_usage_error(tmp_path, capfd):
     # empty validation splits pass the config checks; train()'s own check
-    # refuses them in this process, before any worker starts
+    # refuses them before the first point trains
     argv = ["--margins=-8,-6", *FAST_TRAIN, "--val-per-class", "0"]
-    entered = spy_on_blas_env(monkeypatch)
-    one = sweep_on_cpus(monkeypatch, capfd, 1, tmp_path / "one.csv", argv)
-    two = sweep_on_cpus(monkeypatch, capfd, 2, tmp_path / "two.csv", argv)
-    assert one == two
-    code, table, out, err = two
-    assert (code, table, out) == (1, None, "")
-    assert err == "error: training needs nonempty database and validation splits\n"
-    assert entered == []
+    assert run_sweep(capfd, tmp_path / "s.csv", argv) == (
+        1, None, "", "error: training needs nonempty database and validation splits\n"
+    )
 
 
-def test_center_momentum_out_of_range_leaves_nothing(tmp_path, monkeypatch, capfd):
+def test_center_momentum_out_of_range_leaves_nothing(tmp_path, capfd):
     out_dir = tmp_path / "X"
     assert main(["train", "--classwise", "--center-momentum", "2", *FAST_TRAIN,
                  "--out-dir", str(out_dir)]) == 1
     assert not out_dir.exists()
     assert capfd.readouterr().err == "error: center_momentum must be in [0, 1]\n"
-    # a sweep refuses it before any worker starts
-    entered = spy_on_blas_env(monkeypatch)
+    # a sweep refuses it before the first point trains
     argv = ["--margins=-8,-6", "--classwise", "--center-momentum", "nan", *FAST_TRAIN]
-    result = sweep_on_cpus(monkeypatch, capfd, 2, tmp_path / "new" / "s.csv", argv)
+    result = run_sweep(capfd, tmp_path / "new" / "s.csv", argv)
     assert result == (1, None, "", "error: center_momentum must be in [0, 1]\n")
     assert not (tmp_path / "new").exists()
-    assert entered == []
 
 
-def child_pids(pid):
-    """Processes whose parent is ``pid``, read from /proc."""
-    found = []
-    for entry in os.listdir("/proc"):
-        if entry.isdigit():
-            try:
-                with open(f"/proc/{entry}/stat") as fh:
-                    fields = fh.read().rsplit(")", 1)[1].split()
-            except OSError:  # exited meanwhile
-                continue
-            if int(fields[1]) == pid:
-                found.append(int(entry))
-    return found
-
-
-def is_running(pid):
-    """True while ``pid`` exists and is not a zombie."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except OSError:
-        return False
-
-
-# Runs the CLI as if two CPUs were available, so the sweep always pools.
-_TWO_CPU_SWEEP = (
-    "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
-    "from hashbound.cli import main; sys.exit(main(sys.argv[1:]))"
-)
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_sigterm_ends_the_sweep_and_its_workers(tmp_path):
+    # the sweep has no workers and no handler: the signal ends it, mid-training
     argv = ["sweep", "--margins=-8,-6,-4,-2", *FAST_DATA, "--bits", "8",
             "--epochs", "100000", "--batch-size", "16", "--out", str(tmp_path / "s.csv")]
-    proc = subprocess.Popen([sys.executable, "-c", _TWO_CPU_SWEEP, *argv],
+    proc = subprocess.Popen([sys.executable, "-m", "hashbound", *argv],
                             env=_SUBPROCESS_ENV)
-    children = []
     try:
-        deadline = time.monotonic() + 60
-        while len(child_pids(proc.pid)) < 2 and time.monotonic() < deadline:
-            time.sleep(0.05)
-        time.sleep(1.0)  # every worker has started
-        children = child_pids(proc.pid)
-        assert len(children) >= 2
+        time.sleep(2.0)  # past the imports, into the first point
+        assert proc.poll() is None
         proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=30) == 143
-        deadline = time.monotonic() + 10
-        while any(map(is_running, children)) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert [pid for pid in children if is_running(pid)] == []
-        assert not (tmp_path / "s.csv").exists()
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        # no table, and no temporary file of one
+        assert list(tmp_path.iterdir()) == []
     finally:
         proc.kill()
         proc.wait()
-        for pid in children:
-            if is_running(pid):
-                os.kill(pid, signal.SIGKILL)
 
 
 def raise_value_error(splits, config):
@@ -637,79 +542,9 @@ def raise_value_error(splits, config):
 
 
 def test_sweep_value_error_raised_by_a_point(tmp_path, monkeypatch, capfd):
-    # the pool pickles the function by name, so the workers run this one
     monkeypatch.setattr(cli, "_sweep_point", raise_value_error)
-    argv = ["--margins=-8,-6", *FAST_TRAIN]
-    one = sweep_on_cpus(monkeypatch, capfd, 1, tmp_path / "s.csv", argv)
-    entered = spy_on_blas_env(monkeypatch)
-    assert sweep_on_cpus(monkeypatch, capfd, 2, tmp_path / "s.csv", argv) == one
-    assert len(entered) == 1
-    assert one == (1, None, "", "error: no point at seed 0\n")
-
-
-def die_abruptly(splits, config):
-    """Stands in for ``cli._sweep_point``: the worker process ends without a result."""
-    os._exit(3)
-
-
-def test_sweep_worker_death_is_a_runtime_error(tmp_path, monkeypatch, capfd):
-    # the pool pickles the function by name, so the workers run this one
-    monkeypatch.setattr(cli, "_sweep_point", die_abruptly)
-    code, table, out, err = sweep_on_cpus(monkeypatch, capfd, 2, tmp_path / "s.csv",
-                                          ["--margins=-8,-6", *FAST_TRAIN])
-    assert (code, table, out) == (2, None, "")
-    assert err.startswith("error: a sweep worker process died: ")
-    assert err.count("\n") == 1
-
-
-def test_sweep_runs_in_process_when_free_memory_fits_one_worker(tmp_path, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    meminfo = tmp_path / "meminfo"
-    meminfo.write_text("MemTotal: 8000000 kB\nMemFree: 6000000 kB\nMemAvailable: 4 kB\n",
-                       encoding="ascii")
-    monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
-    entered = spy_on_blas_env(monkeypatch)
-    assert main(["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"),
-                 *FAST_TRAIN]) == 0
-    assert entered == []
-
-
-@pytest.mark.parametrize(
-    "meminfo,available_kib",
-    [
-        ("MemTotal: 8000000 kB\nMemFree: 6000000 kB\nMemAvailable: 7000000 kB\n", 7000000),
-        ("MemTotal: 8000000 kB\nMemFree: 6000000 kB\n", None),  # before Linux 3.14
-        (None, None),  # no /proc
-    ],
-    ids=["MemAvailable", "no-MemAvailable", "no-meminfo"],
-)
-def test_available_memory_counts_reclaimable_cache(tmp_path, monkeypatch, meminfo,
-                                                   available_kib):
-    # MemAvailable when the kernel reports it, else the free pages alone
-    path = tmp_path / "meminfo"
-    if meminfo is not None:
-        path.write_text(meminfo, encoding="ascii")
-    monkeypatch.setattr(cli, "_MEMINFO", str(path))
-    real_sysconf = os.sysconf
-    monkeypatch.setattr(os, "sysconf", lambda name: 3 if name == "SC_AVPHYS_PAGES"
-                        else real_sysconf(name))
-    expected = (3 * real_sysconf("SC_PAGE_SIZE") if available_kib is None
-                else available_kib * 1024)
-    assert cli._available_memory() == expected
-
-
-def test_sweep_memory_cap_ignores_the_inherited_peak(tmp_path, monkeypatch):
-    # Linux carries ru_maxrss across exec, so a large launching process would
-    # make this one look too large to run two workers
-    import resource
-
-    monkeypatch.setattr(resource, "getrusage",
-                        lambda who: SimpleNamespace(ru_maxrss=2**50))  # KiB
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    entered = spy_on_blas_env(monkeypatch)
-    assert main(["sweep", "--margins=-8,-6", "--out", str(tmp_path / "s.csv"),
-                 *FAST_TRAIN]) == 0
-    assert len(entered) == 1
+    result = run_sweep(capfd, tmp_path / "s.csv", ["--margins=-8,-6", *FAST_TRAIN])
+    assert result == (1, None, "", "error: no point at seed 0\n")
 
 
 @pytest.mark.parametrize(
