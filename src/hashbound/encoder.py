@@ -13,9 +13,9 @@ epoch shuffling both draw from the package's xorshift64* streams.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
@@ -26,7 +26,7 @@ from .codes import pack_sign_rows
 from .data import DatasetSplits
 from .evaluation import mean_average_precision
 from .fileio import atomic_open
-from .losses import ClassCenters, total_loss, update_centers
+from .losses import ClassCenters, _total, update_centers
 from .prng import Xorshift64Star
 
 __all__ = [
@@ -176,15 +176,17 @@ def _gradients(
     features: np.ndarray,
     hidden: np.ndarray,
     code_grads: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """Parameter gradients in field order, from the forward pass's hidden layer."""
-    grad_pre = (code_grads @ params.output_weights) * (1.0 - hidden**2)
-    return (
-        grad_pre.T @ features,
-        grad_pre.sum(axis=0),
-        code_grads.T @ hidden,
-        code_grads.sum(axis=0),
-    )
+    out: EncoderParams,
+) -> None:
+    """Parameter gradients into ``out``'s arrays, from the forward pass's hidden layer."""
+    grad_pre = code_grads @ params.output_weights
+    slope = np.square(hidden)
+    np.subtract(1.0, slope, out=slope)
+    grad_pre *= slope  # (code_grads @ W_o) * (1 - hidden**2)
+    np.matmul(grad_pre.T, features, out=out.hidden_weights)
+    grad_pre.sum(axis=0, out=out.hidden_bias)
+    np.matmul(code_grads.T, hidden, out=out.output_weights)
+    code_grads.sum(axis=0, out=out.output_bias)
 
 
 def backward(
@@ -198,26 +200,44 @@ def backward(
             f"expected ({features.shape[0]}, {params.code_bits}) code grads, "
             f"got {code_grads.shape}"
         )
-    hidden = _hidden(params, features)
-    return EncoderParams(*_gradients(params, features, hidden, code_grads))
+    grads = EncoderParams(*(np.empty(a.shape) for a in _arrays(params)))
+    _gradients(params, features, _hidden(params, features), code_grads, grads)
+    return grads
 
 
 def _arrays(params: EncoderParams) -> list[np.ndarray]:
     return [getattr(params, key) for key in _CHECKPOINT_KEYS]
 
 
+def _flat(params: EncoderParams) -> np.ndarray:
+    """A float64 copy of the four arrays, in field order, in one flat buffer."""
+    return np.concatenate([np.ravel(a) for a in _arrays(params)], dtype=np.float64)
+
+
+def _views(flat: np.ndarray, like: EncoderParams) -> EncoderParams:
+    """Params shaped like ``like`` whose arrays are reshaped views into ``flat``."""
+    arrays, start = [], 0
+    for a in _arrays(like):
+        arrays.append(flat[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return EncoderParams(*arrays)
+
+
 def _momentum_step(
-    weights: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
-    velocity: Sequence[np.ndarray],
+    weights: np.ndarray,
+    grads: np.ndarray,
+    velocity: np.ndarray,
     learning_rate: float,
     momentum: float,
 ) -> None:
-    """In place: v <- momentum*v - lr*g; theta <- theta + v."""
-    for theta, g, v in zip(weights, grads, velocity, strict=True):
-        v *= momentum
-        v -= learning_rate * g
-        theta += v
+    """In place on flat buffers: v <- momentum*v - lr*g; theta <- theta + v.
+
+    ``grads`` is left scaled by the learning rate.
+    """
+    velocity *= momentum
+    grads *= learning_rate
+    velocity -= grads
+    weights += velocity
 
 
 def sgd_step(
@@ -228,15 +248,12 @@ def sgd_step(
     momentum: float,
 ) -> tuple[EncoderParams, EncoderParams]:
     """Momentum SGD: v <- momentum*v - lr*g; theta <- theta + v."""
-    new_params, new_velocity = (
-        EncoderParams(*(np.array(a, dtype=np.float64) for a in _arrays(p)))
-        for p in (params, velocity)
-    )
-    _momentum_step(
-        _arrays(new_params), _arrays(grads), _arrays(new_velocity),
-        learning_rate, momentum,
-    )
-    return new_params, new_velocity
+    shapes = [a.shape for a in _arrays(params)]
+    if any([a.shape for a in _arrays(p)] != shapes for p in (grads, velocity)):
+        raise ValueError("params, grads and velocity must have the same shapes")
+    weights, new_velocity = _flat(params), _flat(velocity)
+    _momentum_step(weights, _flat(grads), new_velocity, learning_rate, momentum)
+    return _views(weights, params), _views(new_velocity, params)
 
 
 def encode(params: EncoderParams, features: np.ndarray) -> np.ndarray:
@@ -312,16 +329,36 @@ def training_margins(splits: DatasetSplits, config: TrainConfig) -> MarginSet:
     return derive_margins(BoundProblem(config.code_bits, splits.dataset.num_classes))
 
 
+@functools.lru_cache(maxsize=4)  # the points of a sweep share their seed's shuffles
+def _epoch_orders(seed: int, n: int, epochs: int) -> np.ndarray:
+    """Read-only (epochs, n) array; row e is epoch e + 1's shuffle of the train rows."""
+    rng = Xorshift64Star(seed, stream=_STREAM_SHUFFLE)
+    orders = np.empty((epochs, n), dtype=np.int64)
+    for order in orders:
+        order[:] = rng.permutation(n)
+    orders.flags.writeable = False
+    return orders
+
+
 def train(
     splits: DatasetSplits, config: TrainConfig, *, validate: bool = True
 ) -> tuple[EncoderParams, TrainHistory]:
     """Train the encoder on the train split; track validation MAP per epoch.
 
     Per epoch: seeded shuffle, then per mini-batch forward -> loss (pairwise
-    or class-center variant) -> backward -> momentum step.  The backward pass
-    reuses the forward pass's hidden layer, and the step updates the weights
-    and velocity in place; both give the same bits as ``forward``,
-    ``backward`` and ``sgd_step``.  In class-center
+    or class-center variant) -> backward -> momentum step.  The step runs in
+    place: the weights, the velocity and the gradients each live in one flat
+    float64 buffer, the params' four arrays are views into the first, the
+    gradients are written into their views and one momentum update runs over
+    the flat buffers.  The backward pass reuses the forward pass's hidden
+    layer, and the loss kernels run on the relaxed codes checked finite once.
+    All of it gives the same bits as ``forward`` -> ``total_loss`` ->
+    ``backward`` -> ``sgd_step``, which call the same kernels.  The returned
+    params are views into a buffer of this call alone.
+
+    The epoch shuffles are the rows of one read-only (epochs, n) array drawn
+    from the seed's shuffle stream and cached on (seed, n, epochs), so the
+    points of a sweep that share a seed draw them once.  In class-center
     mode the centers are EMA-updated after each step from that batch's
     relaxed codes, and are initialized from a full forward pass over the
     train split before the first epoch.  A trailing batch of fewer than two
@@ -349,10 +386,13 @@ def train(
     dataset = splits.dataset
     train_labels = dataset.labels[splits.train]
     num_classes = dataset.num_classes
-    params = init_params(dataset.dim, config.hidden_dim, config.code_bits, config.seed)
-    weights = _arrays(params)  # updated in place by every step
-    velocity = [np.zeros_like(w) for w in weights]
-    shuffle_rng = Xorshift64Star(config.seed, stream=_STREAM_SHUFFLE)
+    initial = init_params(dataset.dim, config.hidden_dim, config.code_bits, config.seed)
+    # every step updates these flat buffers in place; the params are views
+    weights = _flat(initial)
+    params = _views(weights, initial)
+    velocity = np.zeros_like(weights)
+    grads = np.empty_like(weights)
+    grad_views = _views(grads, initial)
 
     train_features = dataset.features[splits.train]
     db_features = dataset.features[splits.database]
@@ -370,6 +410,7 @@ def train(
 
     records: list[EpochRecord] = []
     n = len(splits.train)
+    orders = _epoch_orders(config.seed, n, config.epochs)
 
     def check_finite(value, epoch: int) -> None:
         if not np.isfinite(value).all():
@@ -381,8 +422,7 @@ def train(
     # Hinge overflow during a diverging run shows up as inf/nan; the
     # explicit finiteness checks turn that into a clean error.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, config.epochs + 1):
-            order = shuffle_rng.permutation(n)
+        for epoch, order in enumerate(orders, start=1):
             sum_pair = sum_quan = sum_total = 0.0
             batches = 0
             for start in range(0, n, config.batch_size):
@@ -394,16 +434,11 @@ def train(
                 hidden = _hidden(params, feats)
                 relaxed = _codes(params, hidden)
                 check_finite(relaxed, epoch)
-                report = total_loss(
-                    relaxed, labels, margins, config.quant_weight, centers
-                )
+                report = _total(relaxed, labels, margins, config.quant_weight, centers)
                 check_finite(report.total, epoch)
+                _gradients(params, feats, hidden, report.code_grads, grad_views)
                 _momentum_step(
-                    weights,
-                    _gradients(params, feats, hidden, report.code_grads),
-                    velocity,
-                    config.learning_rate,
-                    config.momentum,
+                    weights, grads, velocity, config.learning_rate, config.momentum
                 )
                 if config.classwise:
                     centers = update_centers(centers, relaxed, labels)

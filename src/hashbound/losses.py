@@ -70,6 +70,7 @@ def _hinge(
     """
     loss = 0.0
     dtheta = np.zeros_like(theta)
+    hinge = np.empty_like(theta)  # scratch, reused by both kinds
     for mask, margin, clip in (
         (similar, float(margins.positive_margin), np.minimum),
         (dissimilar, float(margins.negative_margin), np.maximum),
@@ -77,11 +78,11 @@ def _hinge(
         count = int(np.count_nonzero(mask))
         if not count:
             continue
-        hinge = np.subtract(theta, margin)
+        np.subtract(theta, margin, out=hinge)
         clip(0.0, hinge, out=hinge)  # 0.0 first keeps the sign of zero entries
         hinge *= mask
         scale = count * (margin**2 if margin != 0 else 1.0)
-        loss += float((hinge**2).sum()) / scale
+        loss += float(np.square(hinge).sum()) / scale
         hinge *= 2.0
         hinge /= scale
         dtheta += hinge
@@ -127,7 +128,9 @@ def pairwise_loss(
 
 def _quantization(codes: np.ndarray) -> tuple[float, np.ndarray]:
     diff = codes - np.where(codes >= 0.0, 1.0, -1.0)
-    return float((diff**2).sum()), 2.0 * diff
+    value = float(np.square(diff).sum())
+    diff *= 2.0
+    return value, diff
 
 
 def quantization_loss(codes: np.ndarray) -> tuple[float, np.ndarray]:
@@ -224,6 +227,29 @@ def classwise_loss(
     return _classwise(codes, labels, centers, margins)
 
 
+def _total(
+    codes: np.ndarray,
+    labels: np.ndarray,
+    margins,
+    quant_weight: float,
+    centers: ClassCenters | None,
+) -> LossReport:
+    """``total_loss`` on codes and labels already checked; the training step's kernel."""
+    if centers is None:
+        pair_value, code_grads = _pairwise(codes, labels, margins)
+    else:
+        pair_value, code_grads = _classwise(codes, labels, centers, margins)
+    quan_value, quan_grads = _quantization(codes)
+    quan_grads *= quant_weight
+    code_grads += quan_grads  # both are new arrays of this call
+    return LossReport(
+        pairwise=pair_value,
+        quantization=quan_value,
+        code_grads=code_grads,
+        quant_weight=quant_weight,
+    )
+
+
 def total_loss(
     codes: np.ndarray,
     labels: np.ndarray,
@@ -240,20 +266,10 @@ def total_loss(
         raise ValueError("quant_weight must be >= 0")
     codes = _as_code_batch(codes)
     if centers is None:
-        pair_value, pair_grads = _pairwise(
-            codes, _as_pair_labels(labels, codes), margins
-        )
+        labels = _as_pair_labels(labels, codes)
     else:
-        pair_value, pair_grads = _classwise(
-            codes, _as_center_labels(labels, codes, centers), centers, margins
-        )
-    quan_value, quan_grads = _quantization(codes)
-    return LossReport(
-        pairwise=pair_value,
-        quantization=quan_value,
-        code_grads=pair_grads + quant_weight * quan_grads,
-        quant_weight=quant_weight,
-    )
+        labels = _as_center_labels(labels, codes, centers)
+    return _total(codes, labels, margins, quant_weight, centers)
 
 
 def update_centers(

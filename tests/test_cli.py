@@ -16,6 +16,7 @@ from hashbound import cli
 from hashbound.cli import main
 from hashbound.data import SplitSpec, generate_synthetic, load_csv, split_dataset
 from hashbound.encoder import TrainConfig
+from hashbound.prng import Xorshift64Star
 
 FAST_DATA = [
     "--classes", "4", "--per-class", "30", "--dim", "8",
@@ -493,6 +494,42 @@ def test_sweep_trains_every_point_in_process(tmp_path, monkeypatch, capfd):
     # one printed line per point, in the order of the points
     assert [line.split(":")[0] for line in out.splitlines()] == [
         f"negative_margin={value} seed=0" for value in (-8, -6, -4)
+    ]
+
+
+def test_sweep_draws_each_seeds_shuffles_once(tmp_path, monkeypatch, capfd):
+    encoder_module._epoch_orders.cache_clear()
+    sizes = []
+    real = Xorshift64Star.permutation
+
+    def spy(self, n):
+        sizes.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(Xorshift64Star, "permutation", spy)
+    code, table, _, _ = run_sweep(capfd, tmp_path / "s.csv",
+                                  ["--margins=-8,-6,-4", "--seeds", "0,1", *FAST_TRAIN])
+    assert code == 0 and len(table.decode().splitlines()) == 1 + 6
+    # 3 epochs x 2 seeds shuffles of the 60 train rows, not 3 x 6
+    assert sizes.count(4 * 15) == 3 * 2
+
+
+def test_sweep_point_diverging_in_its_first_epoch(tmp_path, capfd):
+    encoder_module._epoch_orders.cache_clear()
+    argv = ["--margins=-8,-6", "--seeds", "0,3", *FAST_TRAIN, "--lr", "1e6"]
+    cold = run_sweep(capfd, tmp_path / "cold.csv", argv)
+    warm = run_sweep(capfd, tmp_path / "warm.csv", argv)  # the shuffles are cached
+    assert cold == warm
+    code, table, out, err = cold
+    points = [(margin, seed) for margin in (-8, -6) for seed in (0, 3)]
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"negative_margin={margin} seed={seed}: non-finite loss at epoch 1; "
+        "the learning rate is likely too high"
+        for margin, seed in points
+    ]
+    assert table.decode().splitlines()[1:] == [
+        f"negative_margin,{margin},{seed},,failed,{margin == -6}" for margin, seed in points
     ]
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import relative_error
-from hashbound.bounds import BoundProblem, derive_margins
+from hashbound.bounds import BoundProblem, derive_margins, margins_from_negative
 from hashbound.data import SplitSpec, generate_synthetic, split_dataset
 from hashbound.encoder import (
     _FINITE_LIMIT,
@@ -17,8 +17,15 @@ from hashbound.encoder import (
     EpochRecord,
     TrainConfig,
     TrainingDivergedError,
+    _arrays,
+    _codes,
+    _epoch_orders,
+    _flat,
     _forward_is_finite,
+    _gradients,
     _hidden,
+    _momentum_step,
+    _views,
     backward,
     encode,
     forward,
@@ -32,8 +39,9 @@ from hashbound.encoder import (
 )
 from hashbound.codes import Codebook, from_signs, pack_sign_rows
 from hashbound.evaluation import mean_average_precision
-from hashbound.losses import ClassCenters, total_loss, update_centers
+from hashbound.losses import ClassCenters, _total, total_loss, update_centers
 from hashbound.prng import Xorshift64Star
+from test_losses import head_total_loss
 
 
 def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
@@ -261,6 +269,95 @@ def test_sgd_two_steps_match_hand_unroll():
     assert params.output_bias[0] == pytest.approx(0.8)
     params, velocity = sgd_step(params, unit_params(-1.0), velocity, 0.1, 0.5)
     assert params.output_bias[0] == pytest.approx(0.8)
+
+
+def test_sgd_step_rejects_mismatched_shapes():
+    params = init_params(3, 5, 4, seed=0)
+    other = init_params(5, 3, 4, seed=0)  # as many weights, other shapes
+    for grads, velocity in ((other, params), (params, other)):
+        with pytest.raises(ValueError, match="same shapes"):
+            sgd_step(params, grads, velocity, 0.1, 0.5)
+
+
+def head_gradients(params, features, hidden, code_grads):
+    """``encoder._gradients`` before it wrote into the gradient buffers."""
+    grad_pre = (code_grads @ params.output_weights) * (1.0 - hidden**2)
+    return (
+        grad_pre.T @ features,
+        grad_pre.sum(axis=0),
+        code_grads.T @ hidden,
+        code_grads.sum(axis=0),
+    )
+
+
+def head_momentum_step(weights, grads, velocity, learning_rate, momentum):
+    """``encoder._momentum_step`` before the flat buffers: one pass per array."""
+    for theta, g, v in zip(weights, grads, velocity, strict=True):
+        v *= momentum
+        v -= learning_rate * g
+        theta += v
+
+
+STEP_BATCHES = {  # rows, label values drawn from, feature scale, classwise
+    "ties": (64, 3, 1.0, False),
+    "one-class": (16, 1, 1.0, False),  # no dissimilar pair
+    "all-distinct": (12, None, 1.0, False),  # no similar pair
+    "trailing-2": (2, 2, 1.0, False),
+    "trailing-63": (63, 5, 1.0, False),
+    "classwise": (64, 4, 1.0, True),
+    "saturated": (64, 3, 1e300, False),  # tanh saturates every hidden unit
+}
+
+
+@pytest.mark.parametrize("negative_margin", [0, -2, -12, 4])
+@pytest.mark.parametrize("batch", STEP_BATCHES)
+def test_training_step_matches_the_previous_chain_bitwise(batch, negative_margin):
+    """Consecutive steps as ``train`` takes them (flat buffers, ``_total``,
+    ``_gradients`` into views, one flat momentum step) against the previous
+    chain: ``total_loss``, ``_gradients`` and a per-array momentum step."""
+    rows, classes, scale, classwise = STEP_BATCHES[batch]
+    rng = np.random.default_rng(23)
+    margins = margins_from_negative(12, negative_margin)
+    initial = init_params(16, 24, 12, seed=7)
+    want = EncoderParams(*(a.copy() for a in _arrays(initial)))
+    want_velocity = [np.zeros_like(a) for a in _arrays(initial)]
+    weights = _flat(initial)
+    params = _views(weights, initial)
+    velocity = np.zeros_like(weights)
+    grads = np.empty_like(weights)
+    grad_views = _views(grads, initial)
+    centers = None
+    if classwise:
+        centers = ClassCenters(rng.uniform(-1.0, 1.0, size=(classes, 12)),
+                               np.ones(classes, dtype=np.int64))
+    with np.errstate(over="ignore", invalid="ignore"):  # as train runs it
+        for _ in range(4):
+            feats = scale * rng.normal(size=(rows, 16))
+            labels = (rng.permutation(rows) if classes is None
+                      else rng.integers(0, classes, size=rows))
+            hidden = _hidden(want, feats)
+            relaxed = _codes(want, hidden)
+            pair, quan, code_grads = head_total_loss(relaxed, labels, margins, 0.002,
+                                                     centers)
+            head_momentum_step(_arrays(want), head_gradients(want, feats, hidden, code_grads),
+                               want_velocity, 0.05, 0.5)
+
+            hidden = _hidden(params, feats)
+            assert bits_equal(_codes(params, hidden), relaxed)
+            report = _total(relaxed, labels, margins, 0.002, centers)
+            _gradients(params, feats, hidden, report.code_grads, grad_views)
+            _momentum_step(weights, grads, velocity, 0.05, 0.5)
+
+            assert (report.pairwise, report.quantization) == (pair, quan)
+            assert bits_equal(report.code_grads, code_grads)
+            for got, expected in zip(_arrays(params), _arrays(want)):
+                assert bits_equal(got, expected)
+            for got, expected in zip(_arrays(_views(velocity, initial)), want_velocity):
+                assert bits_equal(got, expected)
+            if classwise:
+                centers = update_centers(centers, relaxed, labels)
+    if scale > 1.0:
+        assert np.abs(_hidden(params, feats)).min() == 1.0
 
 
 # --- encode ---------------------------------------------------------------------
@@ -651,6 +748,36 @@ def test_train_without_validation_matches_the_unproven_path(monkeypatch, overrid
         assert proven == unproven
     else:
         assert params_equal(proven, unproven)
+
+
+def test_epoch_orders_are_the_shuffle_stream_read_only():
+    orders = _epoch_orders(11, 37, 5)
+    rng = Xorshift64Star(11, stream=_STREAM_SHUFFLE)
+    assert orders.shape == (5, 37)
+    for row in orders:
+        assert np.array_equal(row, rng.permutation(37))
+    assert not orders.flags.writeable
+    with pytest.raises(ValueError):
+        orders[0, 0] = 1
+    assert _epoch_orders(11, 37, 5) is orders
+
+
+def test_train_shares_no_buffer_between_calls():
+    splits = small_splits()
+    config = TrainConfig(code_bits=8, epochs=3, batch_size=16, seed=2)
+    first, _ = train(splits, config, validate=False)
+    kept = [a.copy() for a in _arrays(first)]
+    # a second call, on the same seed's cached shuffles, leaves the first
+    # call's params as they were
+    second, _ = train(splits, dataclasses.replace(config, margin_override=-2),
+                      validate=False)
+    assert all(bits_equal(a, b) for a, b in zip(_arrays(first), kept))
+    assert not all(bits_equal(a, b) for a, b in zip(_arrays(second), kept))
+    # writing into returned params changes no later result
+    for a in _arrays(first) + _arrays(second):
+        a[...] = np.nan
+    third, _ = train(splits, config, validate=False)
+    assert all(bits_equal(a, b) for a, b in zip(_arrays(third), kept))
 
 
 def test_train_config_rejects_bad_center_momentum():

@@ -177,6 +177,94 @@ def test_hinge_matches_previous_kernel_exactly(margins):
                              (loss, dtheta @ centers.values))
 
 
+def head_hinge(theta, similar, dissimilar, margins):
+    """``losses._hinge`` before its kinds shared one scratch buffer."""
+    loss = 0.0
+    dtheta = np.zeros_like(theta)
+    for mask, margin, clip in (
+        (similar, float(margins.positive_margin), np.minimum),
+        (dissimilar, float(margins.negative_margin), np.maximum),
+    ):
+        count = int(np.count_nonzero(mask))
+        if not count:
+            continue
+        hinge = np.subtract(theta, margin)
+        clip(0.0, hinge, out=hinge)
+        hinge *= mask
+        scale = count * (margin**2 if margin != 0 else 1.0)
+        loss += float((hinge**2).sum()) / scale
+        hinge *= 2.0
+        hinge /= scale
+        dtheta += hinge
+    return loss, dtheta
+
+
+def head_quantization(codes):
+    """``losses._quantization`` before it doubled the difference in place."""
+    diff = codes - np.where(codes >= 0.0, 1.0, -1.0)
+    return float((diff**2).sum()), 2.0 * diff
+
+
+def pair_masks(labels):
+    upper = np.triu(np.ones((len(labels), len(labels)), dtype=bool), k=1)
+    same = labels[:, None] == labels[None, :]
+    return upper & same, upper & ~same
+
+
+def head_total_loss(codes, labels, margins, quant_weight, centers=None):
+    """``total_loss`` before it summed the gradients in place, as
+    ``(pairwise, quantization, code_grads)``."""
+    if centers is None:
+        pair_value, dtheta = head_hinge(codes @ codes.T, *pair_masks(labels), margins)
+        dtheta += dtheta.T.copy()
+        pair_grads = dtheta @ codes
+    else:
+        own = labels[:, None] == np.arange(centers.num_classes)
+        pair_value, dtheta = head_hinge(codes @ centers.values.T, own,
+                                        ~own & (centers.counts > 0), margins)
+        pair_grads = dtheta @ centers.values
+    quan_value, quan_grads = head_quantization(codes)
+    return pair_value, quan_value, pair_grads + quant_weight * quan_grads
+
+
+# Negative margins 0 (unit denominator), -2, -12 and a positive one.
+HEAD_MARGINS = [margins_from_negative(12, m) for m in (0, -2, -12, 4)]
+HEAD_BATCHES = {  # rows, and how many label values they are drawn from
+    "ties": (64, 3),
+    "one-class": (16, 1),  # no dissimilar pair
+    "all-distinct": (12, None),  # no similar pair
+    "two-rows": (2, 2),
+    "63-rows": (63, 5),
+}
+
+
+@pytest.mark.parametrize("margins", HEAD_MARGINS, ids=["neg0", "neg-2", "neg-12", "neg+4"])
+@pytest.mark.parametrize("batch", HEAD_BATCHES)
+@pytest.mark.parametrize("classwise", [False, True], ids=["pairwise", "classwise"])
+def test_loss_kernels_match_the_previous_bodies_exactly(margins, batch, classwise):
+    rng = np.random.default_rng(17)
+    rows, classes = HEAD_BATCHES[batch]
+    for quant_weight in (0.0, 0.002, 3.0):
+        codes = rng.uniform(-20.0, 20.0, size=(rows, 12))
+        codes[rng.random(codes.shape) < 0.05] = rng.choice([0.0, -0.0])  # signed zeros
+        labels = (rng.permutation(rows) if classes is None
+                  else rng.integers(0, classes, size=rows))
+        centers = None
+        if classwise:
+            centers = make_centers(rng.uniform(-3.0, 3.0, size=(rows + 1, 12)))
+            centers.counts[rows] = 0  # a class that never had an update
+        else:
+            theta, masks = codes @ codes.T, pair_masks(labels)
+            assert_same_bits(losses_module._hinge(theta, *masks, margins),
+                             head_hinge(theta, *masks, margins))
+        pair, quan, code_grads = head_total_loss(codes, labels, margins, quant_weight,
+                                                 centers)
+        report = total_loss(codes, labels, margins, quant_weight, centers)
+        assert_same_bits((report.pairwise, report.code_grads), (pair, code_grads))
+        assert_same_bits(quantization_loss(codes), head_quantization(codes))
+        assert report.quantization == quan
+
+
 def test_pair_kind_counts_normalize():
     # labels [0, 0, 1, 1]: 2 similar pairs, 4 dissimilar pairs (i < j only)
     margins = SimpleNamespace(positive_margin=1.0, negative_margin=1.0)
