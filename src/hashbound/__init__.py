@@ -42,13 +42,11 @@ from .encoder import (
     TrainConfig,
     TrainHistory,
     TrainingDivergedError,
-    backward,
     encode,
     forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
-    sgd_step,
     train,
 )
 from .evaluation import (
@@ -60,9 +58,6 @@ from .evaluation import (
 from .losses import (
     ClassCenters,
     LossReport,
-    classwise_loss,
-    pairwise_loss,
-    quantization_loss,
     total_loss,
     update_centers,
 )

@@ -244,7 +244,10 @@ def _make_splits(args: argparse.Namespace, dataset: FeatureDataset) -> DatasetSp
         train_per_class=args.train_per_class,
         validation_per_class=args.val_per_class,
     )
-    return split_dataset(dataset, spec, seed=args.split_seed)
+    splits = split_dataset(dataset, spec, seed=args.split_seed)
+    if len(splits.query) == 0:  # refused before train or sweep writes anything
+        raise _UsageError("--query-per-class must be >= 1: MAP needs a nonempty query split")
+    return splits
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -538,8 +541,9 @@ def main(argv: list[str] | None = None) -> int:
         # invalid domain values surfacing from the library are config errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TrainingDivergedError, OSError, _RuntimeFailure) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TrainingDivergedError, OSError, MemoryError, _RuntimeFailure) as exc:
+        # a bare MemoryError has no message; numpy's names the allocation
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

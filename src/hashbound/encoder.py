@@ -37,9 +37,6 @@ __all__ = [
     "TrainingDivergedError",
     "init_params",
     "forward",
-    "backward",
-    "sgd_step",
-    "zeros_like_params",
     "encode",
     "train",
     "training_margins",
@@ -115,12 +112,6 @@ def init_params(input_dim: int, hidden_dim: int, code_bits: int, seed: int) -> E
     )
 
 
-def zeros_like_params(params: EncoderParams) -> EncoderParams:
-    return EncoderParams(
-        **{key: np.zeros_like(getattr(params, key)) for key in _CHECKPOINT_KEYS}
-    )
-
-
 def _check_features(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != params.input_dim:
@@ -189,22 +180,6 @@ def _gradients(
     code_grads.sum(axis=0, out=out.output_bias)
 
 
-def backward(
-    params: EncoderParams, features: np.ndarray, code_grads: np.ndarray
-) -> EncoderParams:
-    """Parameter gradients given d(loss)/d(relaxed codes) for the batch."""
-    features = _check_features(params, features)
-    code_grads = np.asarray(code_grads, dtype=np.float64)
-    if code_grads.shape != (features.shape[0], params.code_bits):
-        raise ValueError(
-            f"expected ({features.shape[0]}, {params.code_bits}) code grads, "
-            f"got {code_grads.shape}"
-        )
-    grads = EncoderParams(*(np.empty(a.shape) for a in _arrays(params)))
-    _gradients(params, features, _hidden(params, features), code_grads, grads)
-    return grads
-
-
 def _arrays(params: EncoderParams) -> list[np.ndarray]:
     return [getattr(params, key) for key in _CHECKPOINT_KEYS]
 
@@ -238,22 +213,6 @@ def _momentum_step(
     grads *= learning_rate
     velocity -= grads
     weights += velocity
-
-
-def sgd_step(
-    params: EncoderParams,
-    grads: EncoderParams,
-    velocity: EncoderParams,
-    learning_rate: float,
-    momentum: float,
-) -> tuple[EncoderParams, EncoderParams]:
-    """Momentum SGD: v <- momentum*v - lr*g; theta <- theta + v."""
-    shapes = [a.shape for a in _arrays(params)]
-    if any([a.shape for a in _arrays(p)] != shapes for p in (grads, velocity)):
-        raise ValueError("params, grads and velocity must have the same shapes")
-    weights, new_velocity = _flat(params), _flat(velocity)
-    _momentum_step(weights, _flat(grads), new_velocity, learning_rate, momentum)
-    return _views(weights, params), _views(new_velocity, params)
 
 
 def encode(params: EncoderParams, features: np.ndarray) -> np.ndarray:
@@ -352,9 +311,7 @@ def train(
     gradients are written into their views and one momentum update runs over
     the flat buffers.  The backward pass reuses the forward pass's hidden
     layer, and the loss kernels run on the relaxed codes checked finite once.
-    All of it gives the same bits as ``forward`` -> ``total_loss`` ->
-    ``backward`` -> ``sgd_step``, which call the same kernels.  The returned
-    params are views into a buffer of this call alone.
+    The returned params are views into a buffer of this call alone.
 
     The epoch shuffles are the rows of one read-only (epochs, n) array drawn
     from the seed's shuffle stream and cached on (seed, n, epochs), so the

@@ -9,8 +9,10 @@ labels match) against the margins from :mod:`hashbound.bounds`:
   + (1/|N|) sum_{(i,j) dissimilar} max(0, u_i.u_j - negative_margin)**2 / negative_margin**2
 
 It is computed in Gram form, from the masked upper triangle of U @ U.T.  The
-class-center variant applies the same hinge to code-center inner products.
-The quantization term sum_n ||sgn(u_n) - u_n||**2 penalizes distance to the
+class-center variant applies the same hinge to code-center inner products:
+each code against its own class's center (similar) and every other
+initialized center (dissimilar), with the centers held constant.  The
+quantization term sum_n ||sgn(u_n) - u_n||**2 penalizes distance to the
 binarization; its gradient treats sgn(u_n) as a constant.  All values and
 gradients are accumulated in float64.
 
@@ -29,10 +31,7 @@ import numpy as np
 __all__ = [
     "LossReport",
     "ClassCenters",
-    "pairwise_loss",
-    "quantization_loss",
     "total_loss",
-    "classwise_loss",
     "update_centers",
 ]
 
@@ -97,13 +96,6 @@ def _upper_pairs(n: int) -> np.ndarray:
     return upper
 
 
-def _as_pair_labels(labels: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    labels = _as_batch_labels(labels, codes)
-    if codes.shape[0] < 2:
-        raise ValueError("need at least two samples to form pairs")
-    return labels
-
-
 def _pairwise(
     codes: np.ndarray, labels: np.ndarray, margins
 ) -> tuple[float, np.ndarray]:
@@ -114,32 +106,11 @@ def _pairwise(
     return loss, dtheta @ codes
 
 
-def pairwise_loss(
-    codes: np.ndarray, labels: np.ndarray, margins
-) -> tuple[float, np.ndarray]:
-    """Margin hinge loss over all pairs i < j of the batch, with its gradient.
-
-    A pair is similar iff its labels match.  Returns ``(value, grads)`` with
-    ``grads`` shaped like ``codes``.
-    """
-    codes = _as_code_batch(codes)
-    return _pairwise(codes, _as_pair_labels(labels, codes), margins)
-
-
 def _quantization(codes: np.ndarray) -> tuple[float, np.ndarray]:
     diff = codes - np.where(codes >= 0.0, 1.0, -1.0)
     value = float(np.square(diff).sum())
     diff *= 2.0
     return value, diff
-
-
-def quantization_loss(codes: np.ndarray) -> tuple[float, np.ndarray]:
-    """Squared distance of each code to its binarization, summed over rows.
-
-    The binarization sgn(u) (with sgn(0) = +1) is held constant, so the
-    gradient is simply 2 * (u - sgn(u)).
-    """
-    return _quantization(_as_code_batch(codes))
 
 
 @dataclass(frozen=True)
@@ -193,15 +164,6 @@ class ClassCenters:
         return self.values.shape[0]
 
 
-def _as_center_labels(
-    labels: np.ndarray, codes: np.ndarray, centers: ClassCenters
-) -> np.ndarray:
-    labels = _as_batch_labels(labels, codes, centers.num_classes)
-    if np.any(centers.counts[np.unique(labels)] == 0):
-        raise ValueError("every class in the batch needs an initialized center")
-    return labels
-
-
 def _classwise(
     codes: np.ndarray, labels: np.ndarray, centers: ClassCenters, margins
 ) -> tuple[float, np.ndarray]:
@@ -210,21 +172,6 @@ def _classwise(
     initialized = centers.counts > 0
     loss, dtheta = _hinge(codes @ centers.values.T, own, ~own & initialized, margins)
     return loss, dtheta @ centers.values
-
-
-def classwise_loss(
-    codes: np.ndarray, labels: np.ndarray, centers: ClassCenters, margins
-) -> tuple[float, np.ndarray]:
-    """Hinge loss of each code against the class centers.
-
-    Sample n with class c contributes one positive term against centers[c]
-    and one negative term against every other initialized center; each kind
-    is normalized by its term count.  Centers are constants here: gradients
-    flow to the sample codes only.
-    """
-    codes = _as_code_batch(codes)
-    labels = _as_center_labels(labels, codes, centers)
-    return _classwise(codes, labels, centers, margins)
 
 
 def _total(
@@ -266,9 +213,13 @@ def total_loss(
         raise ValueError("quant_weight must be >= 0")
     codes = _as_code_batch(codes)
     if centers is None:
-        labels = _as_pair_labels(labels, codes)
+        labels = _as_batch_labels(labels, codes)
+        if codes.shape[0] < 2:
+            raise ValueError("need at least two samples to form pairs")
     else:
-        labels = _as_center_labels(labels, codes, centers)
+        labels = _as_batch_labels(labels, codes, centers.num_classes)
+        if np.any(centers.counts[np.unique(labels)] == 0):
+            raise ValueError("every class in the batch needs an initialized center")
     return _total(codes, labels, margins, quant_weight, centers)
 
 

@@ -223,6 +223,42 @@ def test_train_divergence_is_runtime_failure(tmp_path, capsys):
     assert "learning rate" in capsys.readouterr().err
 
 
+def train_forbidden(splits, config, **kwargs):
+    raise AssertionError("train() was called")
+
+
+# Where each command writes: train an --out-dir, sweep an --out CSV.
+OUTPUTS = {"train": ["--out-dir", "run"], "sweep": ["--margins=-8,-6", "--out", "s.csv"]}
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_empty_query_split_is_refused_before_training(tmp_path, monkeypatch, capfd,
+                                                      command):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "train", train_forbidden)
+    assert main([command, *OUTPUTS[command], *FAST_TRAIN, "--query-per-class", "0"]) == 1
+    assert list(tmp_path.iterdir()) == []
+    assert capfd.readouterr() == (
+        "", "error: --query-per-class must be >= 1: MAP needs a nonempty query split\n"
+    )
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 44.7 GiB for an array", ""],
+                         ids=["numpy", "bare"])
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_out_of_memory_is_a_runtime_failure(tmp_path, monkeypatch, capfd, command,
+                                            message):
+    def out_of_memory(splits, config, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "train", out_of_memory)
+    assert main([command, *OUTPUTS[command], *FAST_TRAIN]) == 2
+    assert capfd.readouterr() == ("", f"error: {message or 'MemoryError'}\n")
+    # train made its --out-dir before training, and wrote nothing into it
+    assert [p.name for p in tmp_path.rglob("*")] == (["run"] if command == "train" else [])
+
+
 # --- eval ----------------------------------------------------------------------
 
 def test_eval_reproduces_train_report(tmp_path):

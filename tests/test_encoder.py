@@ -26,16 +26,13 @@ from hashbound.encoder import (
     _hidden,
     _momentum_step,
     _views,
-    backward,
     encode,
     forward,
     init_params,
     load_checkpoint,
     save_checkpoint,
-    sgd_step,
     train,
     training_margins,
-    zeros_like_params,
 )
 from hashbound.codes import Codebook, from_signs, pack_sign_rows
 from hashbound.evaluation import mean_average_precision
@@ -53,6 +50,17 @@ def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
 
 def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def zero_params(like: EncoderParams) -> EncoderParams:
+    return EncoderParams(*(np.zeros_like(a) for a in _arrays(like)))
+
+
+def backward(params: EncoderParams, features, code_grads) -> EncoderParams:
+    """Parameter gradients as ``train`` takes them: ``_gradients`` over ``_hidden``."""
+    grads = EncoderParams(*(np.full(a.shape, np.nan) for a in _arrays(params)))
+    _gradients(params, features, _hidden(params, features), code_grads, grads)
+    return grads
 
 
 def oracle_forward(params: EncoderParams, features: np.ndarray) -> np.ndarray:
@@ -100,7 +108,7 @@ def test_init_scale_and_zero_biases():
 # --- forward ---------------------------------------------------------------------
 
 def test_forward_zero_weights_gives_zero_codes():
-    params = zeros_like_params(init_params(4, 6, 3, seed=0))
+    params = zero_params(init_params(4, 6, 3, seed=0))
     assert np.all(forward(params, np.ones((5, 4))) == 0.0)
 
 
@@ -156,7 +164,7 @@ def test_forward_rejects_wrong_dim():
 def test_backward_zero_grads_in_zero_grads_out():
     params = init_params(4, 6, 3, seed=4)
     grads = backward(params, np.ones((2, 4)), np.zeros((2, 3)))
-    assert params_equal(grads, zeros_like_params(params))
+    assert params_equal(grads, zero_params(params))
 
 
 def test_backward_single_sample_hand_chain():
@@ -210,73 +218,41 @@ def _bump(arr: np.ndarray, idx, delta: float) -> np.ndarray:
     return out
 
 
-def test_backward_rejects_bad_shapes():
-    params = init_params(3, 5, 4, seed=0)
-    with pytest.raises(ValueError):
-        backward(params, np.ones((2, 3)), np.ones((2, 5)))
-
-
 # --- optimizer ---------------------------------------------------------------------
 
-def unit_params(value: float) -> EncoderParams:
-    return EncoderParams(
-        hidden_weights=np.full((1, 1), value),
-        hidden_bias=np.full(1, value),
-        output_weights=np.full((1, 1), value),
-        output_bias=np.full(1, value),
-    )
-
-
 def test_sgd_step_zero_momentum_is_gradient_descent():
-    params, velocity = unit_params(1.0), unit_params(0.0)
-    grads = unit_params(2.0)
-    new_params, new_velocity = sgd_step(params, grads, velocity, 0.1, 0.0)
-    assert new_params.hidden_weights[0, 0] == pytest.approx(0.8)
-    assert new_velocity.hidden_weights[0, 0] == pytest.approx(-0.2)
+    weights, grads, velocity = np.full(4, 1.0), np.full(4, 2.0), np.zeros(4)
+    _momentum_step(weights, grads, velocity, 0.1, 0.0)
+    assert weights.tolist() == pytest.approx([0.8] * 4)
+    assert velocity.tolist() == pytest.approx([-0.2] * 4)
 
 
 def test_sgd_step_noop_on_zero_grads():
-    params, velocity = unit_params(1.5), unit_params(0.0)
-    new_params, new_velocity = sgd_step(params, unit_params(0.0), velocity, 0.1, 0.5)
-    assert params_equal(new_params, params)
-    assert params_equal(new_velocity, velocity)
+    weights, velocity = np.full(4, 1.5), np.zeros(4)
+    _momentum_step(weights, np.zeros(4), velocity, 0.1, 0.5)
+    assert weights.tolist() == [1.5] * 4
+    assert velocity.tolist() == [0.0] * 4
 
 
 def test_sgd_step_matches_the_momentum_formula_bitwise():
     rng = np.random.default_rng(5)
-    params, grads, velocity = (
-        EncoderParams(rng.normal(size=(6, 4)), rng.normal(size=6),
-                      rng.normal(size=(3, 6)), rng.normal(size=3))
-        for _ in range(3)
-    )
-    before = [np.copy(getattr(p, f.name)) for p in (params, grads, velocity)
-              for f in dataclasses.fields(EncoderParams)]
-    new_params, new_velocity = sgd_step(params, grads, velocity, 0.05, 0.5)
-    for f in dataclasses.fields(EncoderParams):
-        v = 0.5 * getattr(velocity, f.name) - 0.05 * getattr(grads, f.name)
-        assert bits_equal(getattr(new_velocity, f.name), v)
-        assert bits_equal(getattr(new_params, f.name), getattr(params, f.name) + v)
-    # the inputs are left as they were
-    after = [getattr(p, f.name) for p in (params, grads, velocity)
-             for f in dataclasses.fields(EncoderParams)]
-    assert all(bits_equal(a, b) for a, b in zip(after, before))
+    weights, grads, velocity = (rng.normal(size=51) for _ in range(3))
+    before = [a.copy() for a in (weights, grads, velocity)]
+    _momentum_step(weights, grads, velocity, 0.05, 0.5)
+    v = 0.5 * before[2] - 0.05 * before[1]
+    assert bits_equal(velocity, v)
+    assert bits_equal(weights, before[0] + v)
+    # the gradients are left scaled by the learning rate
+    assert bits_equal(grads, 0.05 * before[1])
 
 
 def test_sgd_two_steps_match_hand_unroll():
     # p0=1, g1=2, g2=-1, lr=0.1, momentum=0.5 -> p1=0.8, p2=0.8
-    params, velocity = unit_params(1.0), unit_params(0.0)
-    params, velocity = sgd_step(params, unit_params(2.0), velocity, 0.1, 0.5)
-    assert params.output_bias[0] == pytest.approx(0.8)
-    params, velocity = sgd_step(params, unit_params(-1.0), velocity, 0.1, 0.5)
-    assert params.output_bias[0] == pytest.approx(0.8)
-
-
-def test_sgd_step_rejects_mismatched_shapes():
-    params = init_params(3, 5, 4, seed=0)
-    other = init_params(5, 3, 4, seed=0)  # as many weights, other shapes
-    for grads, velocity in ((other, params), (params, other)):
-        with pytest.raises(ValueError, match="same shapes"):
-            sgd_step(params, grads, velocity, 0.1, 0.5)
+    weights, velocity = np.full(4, 1.0), np.zeros(4)
+    _momentum_step(weights, np.full(4, 2.0), velocity, 0.1, 0.5)
+    assert weights.tolist() == pytest.approx([0.8] * 4)
+    _momentum_step(weights, np.full(4, -1.0), velocity, 0.1, 0.5)
+    assert weights.tolist() == pytest.approx([0.8] * 4)
 
 
 def head_gradients(params, features, hidden, code_grads):
@@ -497,14 +473,27 @@ def test_training_progress_when_margin_is_attainable():
     assert history.records[-1].total < 0.1 * history.records[0].total
 
 
+def head_backward(params, features, code_grads):
+    """``encoder.backward`` before it was deleted: new gradient arrays."""
+    hidden = previous_hidden(params, features)
+    return EncoderParams(*head_gradients(params, features, hidden, code_grads))
+
+
+def head_sgd_step(params, grads, velocity, learning_rate, momentum):
+    """``encoder.sgd_step`` before it was deleted: new params and velocity arrays."""
+    velocity = EncoderParams(*(momentum * v - learning_rate * g
+                               for v, g in zip(_arrays(velocity), _arrays(grads))))
+    return EncoderParams(*(p + v for p, v in zip(_arrays(params), _arrays(velocity)))), velocity
+
+
 def reference_train(splits, config):
-    """The training loop through the public steps: ``forward`` -> ``total_loss``
-    -> ``backward`` -> ``sgd_step``, a new set of arrays per step."""
+    """The training loop as a chain of steps: ``forward`` -> ``total_loss`` ->
+    ``head_backward`` -> ``head_sgd_step``, a new set of arrays per step."""
     margins = training_margins(splits, config)
     dataset = splits.dataset
     train_labels = dataset.labels[splits.train]
     params = init_params(dataset.dim, config.hidden_dim, config.code_bits, config.seed)
-    velocity = zeros_like_params(params)
+    velocity = zero_params(params)
     shuffle_rng = Xorshift64Star(config.seed, stream=_STREAM_SHUFFLE)
     train_features = dataset.features[splits.train]
     centers = None
@@ -539,8 +528,8 @@ def reference_train(splits, config):
                 check_finite(relaxed, epoch)
                 report = total_loss(relaxed, labels, margins, config.quant_weight, centers)
                 check_finite(report.total, epoch)
-                grads = backward(params, feats, report.code_grads)
-                params, velocity = sgd_step(
+                grads = head_backward(params, feats, report.code_grads)
+                params, velocity = head_sgd_step(
                     params, grads, velocity, config.learning_rate, config.momentum
                 )
                 if config.classwise:

@@ -16,9 +16,9 @@ from hashbound.bounds import margins_from_negative
 from hashbound.losses import (
     ClassCenters,
     LossReport,
-    classwise_loss,
-    pairwise_loss,
-    quantization_loss,
+    _classwise,
+    _pairwise,
+    _quantization,
     total_loss,
     update_centers,
 )
@@ -86,7 +86,7 @@ def pair_index_loss(codes, labels, margins):
 
 
 def assert_matches_oracle(codes, labels, margins):
-    value, grads = pairwise_loss(codes, labels, margins)
+    value, grads = _pairwise(codes, labels, margins)
     ref_value, ref_grads = pair_index_loss(codes, labels, margins)
     assert value == pytest.approx(ref_value, rel=1e-12, abs=0.0)
     np.testing.assert_allclose(grads, ref_grads, rtol=1e-12, atol=1e-12 * np.abs(ref_grads).max())
@@ -164,7 +164,7 @@ def test_hinge_matches_previous_kernel_exactly(margins):
         codes = rng.uniform(-2.0, 2.0, size=(n, 12))
         codes[rng.random(codes.shape) < 0.05] = 0.0  # zero thetas and signed zeros
         labels = rng.integers(0, int(rng.integers(1, 5)), size=n)  # one class at times
-        assert_same_bits(pairwise_loss(codes, labels, margins),
+        assert_same_bits(_pairwise(codes, labels, margins),
                          previous_pairwise(codes, labels, margins))
         centers = make_centers(rng.uniform(-1.0, 1.0, size=(4, 12)))
         centers.counts[int(rng.integers(0, 4))] = 0  # one uninitialized center
@@ -173,7 +173,7 @@ def test_hinge_matches_previous_kernel_exactly(margins):
             own = batch[:, None] == np.arange(4)
             loss, dtheta = previous_hinge(codes[: len(batch)] @ centers.values.T, own,
                                           ~own & (centers.counts > 0), margins)
-            assert_same_bits(classwise_loss(codes[: len(batch)], batch, centers, margins),
+            assert_same_bits(_classwise(codes[: len(batch)], batch, centers, margins),
                              (loss, dtheta @ centers.values))
 
 
@@ -261,7 +261,7 @@ def test_loss_kernels_match_the_previous_bodies_exactly(margins, batch, classwis
                                                  centers)
         report = total_loss(codes, labels, margins, quant_weight, centers)
         assert_same_bits((report.pairwise, report.code_grads), (pair, code_grads))
-        assert_same_bits(quantization_loss(codes), head_quantization(codes))
+        assert_same_bits(_quantization(codes), head_quantization(codes))
         assert report.quantization == quan
 
 
@@ -269,22 +269,22 @@ def test_pair_kind_counts_normalize():
     # labels [0, 0, 1, 1]: 2 similar pairs, 4 dissimilar pairs (i < j only)
     margins = SimpleNamespace(positive_margin=1.0, negative_margin=1.0)
     codes = np.array([[1.0], [1.0], [0.0], [3.0]])
-    value, _ = pairwise_loss(codes, np.array([0, 0, 1, 1]), margins)
+    value, _ = _pairwise(codes, np.array([0, 0, 1, 1]), margins)
     # similar: (0,1) free, (2,3) pays 1; dissimilar: (0,3) and (1,3) pay 4 each
     assert value == pytest.approx(1.0 / 2 + 8.0 / 4)
     # a single-class pair has no dissimilar term at all
-    value, grads = pairwise_loss(np.array([[2.0], [2.0]]), np.array([3, 3]), margins)
+    value, grads = _pairwise(np.array([[2.0], [2.0]]), np.array([3, 3]), margins)
     assert value == 0.0
     assert np.all(grads == 0.0)
 
 
 def test_pairwise_input_validation():
     with pytest.raises(ValueError, match="two samples"):
-        pairwise_loss(np.ones((1, 4)), np.array([1]), MARGINS_12)
+        total_loss(np.ones((1, 4)), np.array([1]), MARGINS_12, 0.0)
     with pytest.raises(ValueError, match="finite"):
-        pairwise_loss(np.array([[1.0, np.nan], [1.0, 1.0]]), np.array([0, 1]), MARGINS_12)
+        total_loss(np.array([[1.0, np.nan], [1.0, 1.0]]), np.array([0, 1]), MARGINS_12, 0.0)
     with pytest.raises(ValueError, match=r"\(n, L\)"):
-        pairwise_loss(np.ones(4), np.array([0, 1, 0, 1]), MARGINS_12)
+        total_loss(np.ones(4), np.array([0, 1, 0, 1]), MARGINS_12, 0.0)
 
 
 # --- pairwise loss ------------------------------------------------------------
@@ -296,7 +296,7 @@ DISSIMILAR = np.array([0, 1])
 def test_positive_pair_at_margin_is_free():
     codes = np.array([[2.0, 2.0, 2.0], [2.0, 1.0, 0.0]])  # theta = 12
     margins = margins_from_negative(3, -1)
-    value, grads = pairwise_loss(codes, SIMILAR, margins)
+    value, grads = _pairwise(codes, SIMILAR, margins)
     # theta = 12 >= positive margin 3
     assert value == 0.0
     assert np.all(grads == 0.0)
@@ -305,7 +305,7 @@ def test_positive_pair_at_margin_is_free():
 def test_negative_pair_hand_value():
     # theta = 0, negative margin -6: (0 - (-6))^2 / 36 = 1
     codes = np.array([[1.0] * 12, [1.0, -1.0] * 6])
-    value, _ = pairwise_loss(codes, DISSIMILAR, MARGINS_12)
+    value, _ = _pairwise(codes, DISSIMILAR, MARGINS_12)
     assert value == pytest.approx(1.0)
 
 
@@ -314,17 +314,17 @@ def test_positive_pair_hand_value():
     base = np.ones(12)
     other = np.ones(12)
     other[:3] = -1.0  # theta = 6
-    value, _ = pairwise_loss(np.stack([base, other]), SIMILAR, MARGINS_12)
+    value, _ = _pairwise(np.stack([base, other]), SIMILAR, MARGINS_12)
     assert value == pytest.approx(0.25)
 
 
 def test_one_sided_batches_contribute_single_term():
     codes = np.array([[1.0] * 12, [1.0] * 12])
     only_pos = SIMILAR
-    value, _ = pairwise_loss(codes, only_pos, MARGINS_12)
+    value, _ = _pairwise(codes, only_pos, MARGINS_12)
     assert value == 0.0  # theta = 12 = margin; and no negative term at all
     only_neg = DISSIMILAR
-    value, _ = pairwise_loss(codes, only_neg, MARGINS_12)
+    value, _ = _pairwise(codes, only_neg, MARGINS_12)
     assert value == pytest.approx((12.0 + 6.0) ** 2 / 36.0)
 
 
@@ -333,7 +333,7 @@ def test_hinge_deadzone():
     for _ in range(20):
         codes = sample_smooth_batch(rng, 6, 12, MARGINS_12)
         labels = rng.integers(0, 3, size=6)
-        value, grads = pairwise_loss(codes, labels, MARGINS_12)
+        value, grads = _pairwise(codes, labels, MARGINS_12)
         first, second = np.triu_indices(6, k=1)
         theta = np.einsum("ij,ij->i", codes[first], codes[second])
         similar = labels[first] == labels[second]
@@ -350,7 +350,7 @@ def test_single_pair_monotonicity():
         # 1-bit codes with inner product exactly theta_target
         codes = np.array([[1.0], [theta_target]])
         margins = SimpleNamespace(positive_margin=1.0, negative_margin=-0.5)
-        return pairwise_loss(codes, DISSIMILAR, margins)[0]
+        return _pairwise(codes, DISSIMILAR, margins)[0]
 
     thetas = np.linspace(-1.0, 3.0, 41)
     losses = [neg_loss_at(t) for t in thetas]
@@ -362,7 +362,7 @@ def test_single_pair_monotonicity():
     def pos_loss_at(theta_target):
         codes = np.array([[1.0], [theta_target]])
         margins = SimpleNamespace(positive_margin=0.5, negative_margin=-1.0)
-        return pairwise_loss(codes, SIMILAR, margins)[0]
+        return _pairwise(codes, SIMILAR, margins)[0]
 
     losses = [pos_loss_at(t) for t in thetas]
     above = thetas >= 0.5
@@ -374,7 +374,7 @@ def test_single_pair_monotonicity():
 def test_maximal_negative_violation_value():
     # binary codes at theta = L: ((L - neg) / neg)^2
     codes = np.array([[1.0] * 12, [1.0] * 12])
-    value, _ = pairwise_loss(codes, DISSIMILAR, MARGINS_12)
+    value, _ = _pairwise(codes, DISSIMILAR, MARGINS_12)
     assert value == pytest.approx((12 - (-6)) ** 2 / (-6) ** 2)
 
 
@@ -384,20 +384,20 @@ def test_joint_scaling_invariance():
     rng = np.random.default_rng(2)
     codes = rng.uniform(-1.5, 1.5, size=(6, 12))
     labels = rng.integers(0, 2, size=6)
-    base, _ = pairwise_loss(codes, labels, MARGINS_12)
+    base, _ = _pairwise(codes, labels, MARGINS_12)
     for c in (0.25, 2.0, 10.0):
         scaled = SimpleNamespace(
             positive_margin=MARGINS_12.positive_margin * c,
             negative_margin=MARGINS_12.negative_margin * c,
         )
-        value, _ = pairwise_loss(codes * np.sqrt(c), labels, scaled)
+        value, _ = _pairwise(codes * np.sqrt(c), labels, scaled)
         assert value == pytest.approx(base, rel=1e-12)
 
 
 def test_zero_negative_margin_uses_unit_denominator():
     margins = SimpleNamespace(positive_margin=4.0, negative_margin=0.0)
     codes = np.array([[1.0, 1.0], [1.0, 1.0]])  # theta = 2 > 0
-    value, _ = pairwise_loss(codes, DISSIMILAR, margins)
+    value, _ = _pairwise(codes, DISSIMILAR, margins)
     assert value == pytest.approx(4.0)  # (2 - 0)^2 / max(0, 1)
 
 
@@ -408,7 +408,7 @@ def test_binary_codes_negative_loss_iff_below_target_distance():
     for distance in range(13):
         other = flip_bits(base, range(distance))
         codes = np.stack([base.signs().astype(float), other.signs().astype(float)])
-        value, _ = pairwise_loss(codes, DISSIMILAR, MARGINS_12)
+        value, _ = _pairwise(codes, DISSIMILAR, MARGINS_12)
         if distance >= MARGINS_12.target_distance:
             assert value == 0.0
         else:
@@ -418,29 +418,29 @@ def test_binary_codes_negative_loss_iff_below_target_distance():
 def test_pairwise_rejects_mismatched_labels():
     for labels in ([0, 1, 0], [0], [[0, 1]]):
         with pytest.raises(ValueError, match="labels must match"):
-            pairwise_loss(np.ones((2, 4)), np.array(labels), MARGINS_12)
+            total_loss(np.ones((2, 4)), np.array(labels), MARGINS_12, 0.0)
 
 
 # --- quantization loss ----------------------------------------------------------
 
 def test_quantization_zero_at_binary_codes():
     codes = np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
-    value, grads = quantization_loss(codes)
+    value, grads = _quantization(codes)
     assert value == 0.0
     assert np.all(grads == 0.0)
 
 
 def test_quantization_hand_value_and_gradient():
-    value, grads = quantization_loss(np.array([[0.5, -0.5]]))
+    value, grads = _quantization(np.array([[0.5, -0.5]]))
     assert value == pytest.approx(0.5)
     assert grads.tolist() == [[-1.0, 1.0]]
-    numeric = finite_difference(lambda u: quantization_loss(u)[0], np.array([[0.5, -0.5]]))
+    numeric = finite_difference(lambda u: _quantization(u)[0], np.array([[0.5, -0.5]]))
     assert relative_error(grads, numeric) < 1e-9
 
 
 def test_quantization_sums_over_batch():
     codes = np.array([[0.5, -0.5], [0.5, -0.5], [1.0, 1.0]])
-    assert quantization_loss(codes)[0] == pytest.approx(1.0)
+    assert _quantization(codes)[0] == pytest.approx(1.0)
 
 
 # --- combined objective -----------------------------------------------------------
@@ -506,21 +506,21 @@ def test_classwise_zero_loss_construction():
     center_b[:9] = -1.0  # distance 9 -> inner product -6
     centers = make_centers(np.stack([center_a, center_b]))
     codes = np.stack([center_a, center_b])
-    value, grads = classwise_loss(codes, np.array([0, 1]), centers, margins)
+    value, grads = _classwise(codes, np.array([0, 1]), centers, margins)
     assert value == 0.0
     assert np.all(grads == 0.0)
 
 
 def test_classwise_unknown_class_rejected():
     centers = make_centers(np.ones((2, 4)))
-    with pytest.raises(ValueError):
-        classwise_loss(np.ones((1, 4)), np.array([2]), centers, MARGINS_12)
+    with pytest.raises(ValueError, match="outside the known class range"):
+        total_loss(np.ones((1, 4)), np.array([2]), MARGINS_12, 0.0, centers)
 
 
 def test_classwise_requires_initialized_centers():
     centers = ClassCenters(values=np.zeros((2, 4)), counts=np.array([1, 0]))
-    with pytest.raises(ValueError):
-        classwise_loss(np.ones((1, 4)), np.array([1]), centers, MARGINS_12)
+    with pytest.raises(ValueError, match="initialized center"):
+        total_loss(np.ones((1, 4)), np.array([1]), MARGINS_12, 0.0, centers)
 
 
 def test_classwise_skips_uninitialized_centers_as_negatives():
@@ -533,7 +533,7 @@ def test_classwise_skips_uninitialized_centers_as_negatives():
     ])
     centers = ClassCenters(values=values, counts=np.array([1, 1, 0]))
     codes = values[:2].copy()
-    value, grads = classwise_loss(codes, np.array([0, 1]), centers, margins)
+    value, grads = _classwise(codes, np.array([0, 1]), centers, margins)
     assert value == 0.0
     assert np.all(grads == 0.0)
 
