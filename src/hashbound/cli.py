@@ -379,9 +379,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     splits = _make_splits(args, dataset)
     _warn_on_zero_negative_margin([training_margins(splits, config)])
 
+    params, history = train(splits, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    params, history = train(splits, config)
 
     save_checkpoint(out_dir / "checkpoint.json", params, config, epoch=config.epochs)
     _write_csv(

@@ -291,10 +291,7 @@ def training_margins(splits: DatasetSplits, config: TrainConfig) -> MarginSet:
 @functools.lru_cache(maxsize=4)  # the points of a sweep share their seed's shuffles
 def _epoch_orders(seed: int, n: int, epochs: int) -> np.ndarray:
     """Read-only (epochs, n) array; row e is epoch e + 1's shuffle of the train rows."""
-    rng = Xorshift64Star(seed, stream=_STREAM_SHUFFLE)
-    orders = np.empty((epochs, n), dtype=np.int64)
-    for order in orders:
-        order[:] = rng.permutation(n)
+    orders = Xorshift64Star(seed, stream=_STREAM_SHUFFLE).permutations(n, epochs)
     orders.flags.writeable = False
     return orders
 

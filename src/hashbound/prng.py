@@ -6,17 +6,18 @@ splitmix64 so that nearby seeds and stream ids give unrelated sequences.  All
 randomness in this package (weight init, epoch shuffling, synthetic data,
 split sampling) flows through this class, never through global RNG state.
 
-The bulk draws (``uniforms``, ``normals``, ``permutation``) return exactly
-what the matching loop of scalar draws returns, and leave the generator in
-the same state.  They take the stream in lanes of 16 draws and advance all
-lanes together in numpy.  The xorshift step is linear over GF(2), so 16 steps
-are one 64 x 64 bit matrix, and each lane's start state is the previous
-lane's times that matrix (jump-ahead; Haramoto et al., 2008).  It is applied
-through 8 byte-indexed tables of 256 entries, built from the 64 basis
-vectors on the first bulk draw, not at import.  Box-Muller takes ``log``,
-``cos`` and ``sin`` from ``math`` one element at a time: numpy's vectorised
-versions need not round as the C library does, and the scalar ``normal``
-uses ``math``.
+Every draw is a bulk draw (``uniforms``, ``normals``, ``permutation``,
+``permutations``).  Each returns exactly what the scalar xorshift64*
+recurrence, one step per draw, gives, and leaves the generator in the same
+state; ``tests/test_prng.py`` keeps that recurrence as the oracle.  The
+draws take the stream in lanes of 16 and advance all lanes together in
+numpy.  The xorshift step is linear over GF(2), so 16 steps are one 64 x 64
+bit matrix, and each lane's start state is the previous lane's times that
+matrix (jump-ahead; Haramoto et al., 2008).  It is applied through 8
+byte-indexed tables of 256 entries, built from the 64 basis vectors on the
+first bulk draw, not at import.  Box-Muller takes ``log``, ``cos`` and
+``sin`` from ``math`` one element at a time: the stream's bits are fixed by
+the C library's rounding, and numpy's vectorised versions need not match it.
 """
 
 from __future__ import annotations
@@ -80,20 +81,8 @@ class Xorshift64Star:
         self._state = state if state != 0 else _SPLITMIX_GAMMA
         self._spare_normal: float | None = None
 
-    def next_u64(self) -> int:
-        s = self._state
-        s ^= s >> 12
-        s = (s ^ (s << 25)) & _MASK64
-        s ^= s >> 27
-        self._state = s
-        return (s * _MULTIPLIER) & _MASK64
-
-    def uniform(self) -> float:
-        """Uniform float in [0, 1) with 53 random mantissa bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def _raw(self, n: int) -> np.ndarray:
-        """The next n ``next_u64`` outputs as uint64, leaving the state as they do.
+        """The next n xorshift64* outputs as uint64, leaving the state after them.
 
         Lane k holds draws 16k+1 .. 16k+16; its start state is the previous
         lane's advanced 16 steps through the jump tables.  Then every lane
@@ -119,23 +108,12 @@ class Xorshift64Star:
         return states * np.uint64(_MULTIPLIER)
 
     def uniforms(self, n: int) -> np.ndarray:
+        """n uniform floats in [0, 1) with 53 random mantissa bits."""
         return (self._raw(n) >> 11) * 2.0**-53
 
-    def normal(self) -> float:
-        """Standard normal via Box-Muller; partner value is cached."""
-        if self._spare_normal is not None:
-            z, self._spare_normal = self._spare_normal, None
-            return z
-        u1 = 1.0 - self.uniform()  # (0, 1]; keeps log() finite
-        u2 = self.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        angle = 2.0 * math.pi * u2
-        self._spare_normal = radius * math.sin(angle)
-        return radius * math.cos(angle)
-
     def normals(self, n: int) -> np.ndarray:
-        """n draws of ``normal``: the cached spare first, and an odd last
-        partner cached for the next draw."""
+        """n standard normals, Box-Muller on pairs of uniforms: the cached
+        spare first, and an odd last partner cached for the next draw."""
         out = np.empty(max(n, 0))
         done = 0
         if n > 0 and self._spare_normal is not None:
@@ -155,16 +133,24 @@ class Xorshift64Star:
                 self._spare_normal = float(values[-1, 1])
         return out
 
-    def randbelow(self, n: int) -> int:
-        """Integer in [0, n).  Plain modulo; bias is ~n/2**64, negligible here."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        return self.next_u64() % n
-
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n), swap i with ``randbelow(i + 1)``."""
-        idx = list(range(n))
-        swaps = self._raw(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
-        for i, j in zip(range(n - 1, 0, -1), swaps.tolist()):
-            idx[i], idx[j] = idx[j], idx[i]
-        return np.array(idx, dtype=np.int64)
+        """One Fisher-Yates permutation of range(n)."""
+        return self.permutations(n, 1)[0]
+
+    def permutations(self, n: int, count: int) -> np.ndarray:
+        """``count`` Fisher-Yates permutations of range(n), one per row.
+
+        Row by row, position i = n-1 .. 1 swaps with the next draw modulo
+        i + 1.  All the rows' draws come from one bulk draw; the output is
+        allocated first, so a count too large to hold fails before drawing.
+        """
+        out = np.empty((count, n), dtype=np.int64)
+        swaps = self._raw(count * (n - 1)).reshape(count, max(n - 1, 0))
+        swaps %= np.arange(n, 1, -1, dtype=np.uint64)
+        identity, positions = list(range(n)), range(n - 1, 0, -1)
+        for row, draws in zip(out, swaps):
+            idx = identity.copy()
+            for i, j in zip(positions, draws.tolist()):
+                idx[i], idx[j] = idx[j], idx[i]
+            row[:] = idx
+        return out

@@ -39,6 +39,7 @@ from hashbound.evaluation import mean_average_precision
 from hashbound.losses import ClassCenters, _total, total_loss, update_centers
 from hashbound.prng import Xorshift64Star
 from test_losses import head_total_loss
+from test_prng import scalar_permutation
 
 
 def params_equal(a: EncoderParams, b: EncoderParams) -> bool:
@@ -488,7 +489,8 @@ def head_sgd_step(params, grads, velocity, learning_rate, momentum):
 
 def reference_train(splits, config):
     """The training loop as a chain of steps: ``forward`` -> ``total_loss`` ->
-    ``head_backward`` -> ``head_sgd_step``, a new set of arrays per step."""
+    ``head_backward`` -> ``head_sgd_step``, a new set of arrays per step, on
+    each epoch's shuffle from ``scalar_permutation``."""
     margins = training_margins(splits, config)
     dataset = splits.dataset
     train_labels = dataset.labels[splits.train]
@@ -516,7 +518,7 @@ def reference_train(splits, config):
     n = len(splits.train)
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
-            order = shuffle_rng.permutation(n)
+            order = scalar_permutation(shuffle_rng, n)
             sum_pair = sum_quan = sum_total = 0.0
             batches = 0
             for start in range(0, n, config.batch_size):
@@ -744,7 +746,7 @@ def test_epoch_orders_are_the_shuffle_stream_read_only():
     rng = Xorshift64Star(11, stream=_STREAM_SHUFFLE)
     assert orders.shape == (5, 37)
     for row in orders:
-        assert np.array_equal(row, rng.permutation(37))
+        assert np.array_equal(row, scalar_permutation(rng, 37))
     assert not orders.flags.writeable
     with pytest.raises(ValueError):
         orders[0, 0] = 1

@@ -1,5 +1,6 @@
 """Bulk PRNG draws against the scalar stream they are made of."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,12 +11,51 @@ import pytest
 
 from hashbound.prng import Xorshift64Star
 
+MASK64 = (1 << 64) - 1
+
+
+# The scalar stream, one xorshift64* step per draw, as it was in
+# ``Xorshift64Star`` before its methods were deleted: the oracle the bulk
+# draws are checked against.  Each acts on the generator's state and spare.
+
+def head_next_u64(rng):
+    """``Xorshift64Star.next_u64``: one xorshift64* step and its output."""
+    s = rng._state
+    s ^= s >> 12
+    s = (s ^ (s << 25)) & MASK64
+    s ^= s >> 27
+    rng._state = s
+    return (s * 2685821657736338717) & MASK64
+
+
+def head_uniform(rng):
+    """``Xorshift64Star.uniform``: a float in [0, 1) with 53 random mantissa bits."""
+    return (head_next_u64(rng) >> 11) * 2.0**-53
+
+
+def head_normal(rng):
+    """``Xorshift64Star.normal``: Box-Muller; the partner value is cached."""
+    if rng._spare_normal is not None:
+        z, rng._spare_normal = rng._spare_normal, None
+        return z
+    u1 = 1.0 - head_uniform(rng)  # (0, 1]; keeps log() finite
+    u2 = head_uniform(rng)
+    radius = math.sqrt(-2.0 * math.log(u1))
+    angle = 2.0 * math.pi * u2
+    rng._spare_normal = radius * math.sin(angle)
+    return radius * math.cos(angle)
+
+
+def head_randbelow(rng, n):
+    """``Xorshift64Star.randbelow``: an integer in [0, n) by plain modulo."""
+    return head_next_u64(rng) % n
+
 
 def scalar_permutation(rng, n):
-    """Fisher-Yates with one ``randbelow`` call per swap."""
+    """Fisher-Yates with one ``head_randbelow`` call per swap."""
     idx = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = rng.randbelow(i + 1)
+        j = head_randbelow(rng, i + 1)
         idx[i], idx[j] = idx[j], idx[i]
     return np.array(idx, dtype=np.int64)
 
@@ -31,7 +71,7 @@ def test_bulk_draws_match_scalar_stream(seed, stream, n):
     bulk, scalar = Xorshift64Star(seed, stream), Xorshift64Star(seed, stream)
 
     got = bulk.uniforms(n)
-    want = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
+    want = np.array([head_uniform(scalar) for _ in range(n)], dtype=np.float64)
     assert got.dtype == np.float64 and got.shape == (n,)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert end_state(bulk) == end_state(scalar)
@@ -42,11 +82,11 @@ def test_bulk_draws_match_scalar_stream(seed, stream, n):
     # two draws in a row: an odd n leaves a spare that the next draw starts with
     for _ in range(2):
         got = bulk.normals(n)
-        want = np.array([scalar.normal() for _ in range(n)], dtype=np.float64)
+        want = np.array([head_normal(scalar) for _ in range(n)], dtype=np.float64)
         assert got.shape == (n,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert end_state(bulk) == end_state(scalar)
-    assert bulk.next_u64() == scalar.next_u64()
+    assert head_next_u64(bulk) == head_next_u64(scalar)
 
 
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 32, 33, 1000])
@@ -54,27 +94,47 @@ def test_raw_draws_are_next_u64(n):
     bulk, scalar = Xorshift64Star(99, 5), Xorshift64Star(99, 5)
     got = bulk._raw(n)
     assert got.dtype == np.uint64
-    assert got.tolist() == [scalar.next_u64() for _ in range(n)]
+    assert got.tolist() == [head_next_u64(scalar) for _ in range(n)]
     assert end_state(bulk) == end_state(scalar)
 
 
 def test_normals_spare_crosses_mixed_bulk_calls():
     # odd counts leave a spare for the next normals call; uniforms and
-    # permutation in between draw from the stream and leave the spare alone
+    # permutations in between draw from the stream and leave the spare alone
     bulk, scalar = Xorshift64Star(7, 2), Xorshift64Star(7, 2)
-    for kind, n in [("normals", 3), ("uniforms", 5), ("normals", 0), ("normals", 1),
-                    ("normals", 16), ("normals", 17), ("permutation", 17),
-                    ("normals", 33), ("normals", 2), ("normals", 15), ("uniforms", 16),
-                    ("normals", 32001)]:
-        got = getattr(bulk, kind)(n)
+    for kind, *args in [("normals", 3), ("uniforms", 5), ("normals", 0), ("normals", 1),
+                        ("normals", 16), ("normals", 17), ("permutation", 17),
+                        ("normals", 33), ("permutations", 17, 3), ("normals", 2),
+                        ("normals", 15), ("uniforms", 16), ("normals", 32001)]:
+        got = getattr(bulk, kind)(*args)
+        n = args[0]
         if kind == "normals":
-            want = np.array([scalar.normal() for _ in range(n)], dtype=np.float64)
+            want = np.array([head_normal(scalar) for _ in range(n)], dtype=np.float64)
         elif kind == "uniforms":
-            want = np.array([scalar.uniform() for _ in range(n)], dtype=np.float64)
-        else:
+            want = np.array([head_uniform(scalar) for _ in range(n)], dtype=np.float64)
+        elif kind == "permutation":
             want = scalar_permutation(scalar, n)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (kind, n)
-        assert end_state(bulk) == end_state(scalar), (kind, n)
+        else:
+            want = np.array([scalar_permutation(scalar, n) for _ in range(args[1])])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (kind, args)
+        assert end_state(bulk) == end_state(scalar), (kind, args)
+
+
+# count * (n - 1) draws: (16, 1), (6, 3) and (4, 5) take 15, one short of a
+# lane; n = 17 takes a whole number of lanes; (18, 1), (60, 3) and (34, 5)
+# take 17, 177 and 165, just past one
+@pytest.mark.parametrize("n,count", [
+    *((n, count) for n in (0, 1, 2, 17, 60) for count in (0, 1, 3, 5)),
+    (16, 1), (6, 3), (4, 5), (18, 1), (34, 5),
+])
+@pytest.mark.parametrize("seed,stream", [(0, 0), (12345, 3)])
+def test_permutations_are_rows_of_scalar_fisher_yates(seed, stream, n, count):
+    bulk, scalar = Xorshift64Star(seed, stream), Xorshift64Star(seed, stream)
+    got = bulk.permutations(n, count)
+    assert got.dtype == np.int64 and got.shape == (count, n)
+    for row in got:
+        assert np.array_equal(row, scalar_permutation(scalar, n))
+    assert end_state(bulk) == end_state(scalar)
 
 
 def test_import_builds_no_jump_tables():
