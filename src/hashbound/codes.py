@@ -106,8 +106,11 @@ class BinaryCode:
 def pack_sign_rows(values: np.ndarray) -> np.ndarray:
     """Pack an (n, L) real matrix into (n, ceil(L/64)) uint64 sign words.
 
-    Entry >= 0 maps to bit 1 (+1), entry < 0 to bit 0 (-1).  This is the
-    single packing routine in the package; the scalar ``from_signs`` wraps it.
+    Entry >= 0 maps to bit 1 (+1), entry < 0 to bit 0 (-1).  The signs go
+    into a zeroed (n, 64 W) bool matrix, so the padding bits stay 0, and one
+    flat little-endian ``packbits`` turns each row's 64 W bits into its W
+    words.  This is the single packing routine in the package; the scalar
+    ``from_signs`` wraps it.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] < 1:
@@ -115,13 +118,10 @@ def pack_sign_rows(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("sign values must all be finite")
     n, length = values.shape
-    bits = (values >= 0.0).astype(np.uint8)
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    byte_width = _word_count(length) * 8
-    if packed.shape[1] < byte_width:
-        pad = np.zeros((n, byte_width - packed.shape[1]), dtype=np.uint8)
-        packed = np.concatenate([packed, pad], axis=1)
-    return np.ascontiguousarray(packed).view(np.uint64)
+    width = _word_count(length)
+    bits = np.zeros((n, width * _WORD_BITS), dtype=bool)
+    np.greater_equal(values, 0.0, out=bits[:, :length])
+    return np.packbits(bits, bitorder="little").view(np.uint64).reshape(n, width)
 
 
 def from_signs(values: Sequence[float] | np.ndarray) -> BinaryCode:

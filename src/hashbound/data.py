@@ -57,9 +57,12 @@ class FeatureDataset:
             raise ValueError("labels must match the number of feature rows")
         if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite")
-        present = np.unique(labels)
-        if self.num_classes < 1 or not np.array_equal(
-            present, np.arange(self.num_classes)
+        # the range first, so that bincount allocates at most one count per row
+        if not (
+            1 <= self.num_classes <= len(labels)
+            and labels.min() == 0
+            and labels.max() == self.num_classes - 1
+            and np.bincount(labels).all()
         ):
             raise ValueError(
                 "labels must cover exactly 0..num_classes-1 with every class present"

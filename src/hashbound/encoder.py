@@ -279,7 +279,8 @@ def training_margins(splits: DatasetSplits, config: TrainConfig) -> MarginSet:
     Checks that the splits can be trained on, then takes the override margin,
     or the bound-derived one for the dataset's class count.
     """
-    if len(np.unique(splits.dataset.labels[splits.train])) < 2:
+    train_labels = splits.dataset.labels[splits.train]
+    if len(train_labels) == 0 or train_labels.min() == train_labels.max():
         raise ValueError("training split must contain at least two classes")
     if len(splits.database) == 0 or len(splits.validation) == 0:
         raise ValueError("training needs nonempty database and validation splits")
@@ -447,8 +448,7 @@ def save_checkpoint(
     for key in _CHECKPOINT_KEYS:
         doc[key] = [float(v) for v in getattr(params, key).ravel()]
     with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, dict[str, Any]]:

@@ -9,10 +9,15 @@ ranked once and its result is given back to every query that holds it
 
 The scan walks the distinct queries in blocks of about ``_CHUNK_PAIRS`` =
 2**18 (query, database row) pairs, so memory stays bounded however many
-queries there are.  A block holds its uint8/uint16 distances, their stable argsort
-(a radix sort for such narrow integers), the gathered labels, bool
-relevance, cumulative hits in the narrowest type that holds the database
-size, and float64 precision: about 30 bytes per pair, some 8 MB per block.
+queries there are.  A block holds its uint8/uint16 distances, their stable
+argsort (a radix sort for such narrow integers), the gathered labels, bool
+relevance and a zeroed float64 precision matrix: about 30 bytes per pair,
+some 8 MB per block.  The relevant ranks add some 40 bytes per relevant
+pair.  Precision is computed only at those ranks, as the running hit count
+over the position, and written into the zeroed matrix; AP sums each row, so
+each float, its position and the order of the sum are those of the dense
+cumulative form.  Hits within a cutoff (MAP@k's depth, the precision curve)
+are counted by binary search in the relevant ranks' sorted row-major keys.
 Each query's AP is summed within its own row, so the numbers are the same
 for any block size.
 
@@ -113,6 +118,21 @@ def class_center_codes(words: np.ndarray, length: int, labels: np.ndarray) -> np
     return pack_sign_rows(2 * ones - counts[:, None])
 
 
+def _distinct_rows(
+    words: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (code, label) rows: each one's first row, every row's
+    distinct index, and each one's count, via one lexsort."""
+    order = np.lexsort((*words.T, labels))
+    words, labels = words[order], labels[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (labels[1:] != labels[:-1]) | (words[1:] != words[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    return order[starts], inverse, np.diff(starts, append=len(order))
+
+
 def _ap_rows(precision_sums: np.ndarray, hits: np.ndarray) -> np.ndarray:
     """Per-row AP: the summed precision at the hits over the hit count (0 if none)."""
     return np.where(hits > 0, precision_sums / np.maximum(hits, 1), 0.0)
@@ -164,11 +184,7 @@ def mean_average_precision(
         raise ValueError("k must be >= 1")
 
     # each distinct (code, label) query is ranked once (see the module docstring)
-    key = np.column_stack([query_words.view(np.int64), query_labels])
-    _, first, inverse, counts = np.unique(
-        key, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    inverse = inverse.reshape(-1)  # numpy 2.0 gives it another shape
+    first, inverse, counts = _distinct_rows(query_words, query_labels)
     distinct_words, distinct_labels = query_words[first], query_labels[first]
 
     num_queries, db_size = len(query_words), len(database_words)
@@ -177,27 +193,29 @@ def mean_average_precision(
     ap = np.empty(len(first))
     ap_at_k = np.empty(len(first)) if k is not None else None
     curve_hits = np.zeros(len(cutoffs), dtype=np.int64)
-    curve_columns = np.array(cutoffs) - 1
-    depth = db_size if k is None else min(k, db_size)
-    hit_dtype = np.min_scalar_type(db_size)
+    # the last limit is MAP@k's depth
+    limits = np.array(cutoffs + [db_size if k is None else min(k, db_size)])
     block = max(1, _CHUNK_PAIRS // db_size)
     for lo in range(0, len(first), block):
         rows = slice(lo, lo + block)
         dists = packed_hamming_matrix(distinct_words[rows], database_words)
         order = np.argsort(dists, axis=1, kind="stable")
         relevance = database_labels[order] == distinct_labels[rows, None]
-        cum_hits = np.cumsum(relevance, axis=1, dtype=hit_dtype)
-        precision = cum_hits / positions
+        r, c = np.nonzero(relevance)  # the relevant ranks, row by row
+        hits = np.bincount(r, minlength=len(relevance))
+        starts = np.cumsum(hits) - hits
+        # precision at the relevant ranks (the running hit count over the
+        # position), 0 elsewhere, summed per row
+        precision = np.zeros(relevance.shape)
+        precision[r, c] = (np.arange(1, len(r) + 1) - starts[r]) / positions[c]
+        ap[rows] = _ap_rows(precision.sum(axis=1), hits)
+        # hits within each limit, counted in the sorted row-major keys
+        row_keys = np.arange(len(relevance))[:, None] * db_size
+        within = np.searchsorted(r * db_size + c, row_keys + limits) - starts[:, None]
         if k is not None:
-            at_k = (precision[:, :k] * relevance[:, :k]).sum(axis=1)
-            ap_at_k[rows] = _ap_rows(at_k, cum_hits[:, depth - 1])
-        # precision at the relevant positions, 0 elsewhere, summed per row
-        np.multiply(precision, relevance, out=precision)
-        ap[rows] = _ap_rows(precision.sum(axis=1), cum_hits[:, -1])
+            ap_at_k[rows] = _ap_rows(precision[:, :k].sum(axis=1), within[:, -1])
         # each distinct row's hits count once per query that holds it
-        curve_hits += (counts[rows, None] * cum_hits[:, curve_columns]).sum(
-            axis=0, dtype=np.int64
-        )
+        curve_hits += (counts[rows, None] * within[:, :-1]).sum(axis=0)
     per_query = ap[inverse]
     per_query_at_k = ap_at_k[inverse] if k is not None else None
 

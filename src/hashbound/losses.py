@@ -218,7 +218,7 @@ def total_loss(
             raise ValueError("need at least two samples to form pairs")
     else:
         labels = _as_batch_labels(labels, codes, centers.num_classes)
-        if np.any(centers.counts[np.unique(labels)] == 0):
+        if np.any(centers.counts[labels] == 0):
             raise ValueError("every class in the batch needs an initialized center")
     return _total(codes, labels, margins, quant_weight, centers)
 
@@ -236,7 +236,8 @@ def update_centers(
 
     values = centers.values.copy()
     counts = centers.counts.copy()
-    for c in np.unique(labels):
+    # the classes present, ascending
+    for c in np.flatnonzero(np.bincount(labels, minlength=centers.num_classes)):
         mean = codes[labels == c].mean(axis=0)
         if counts[c] == 0:
             values[c] = mean

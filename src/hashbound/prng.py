@@ -31,6 +31,7 @@ _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MULTIPLIER = 0x2545F4914F6CDD1D
 _LANE = 16  # draws per lane of a bulk draw
+_BLOCK_LANES = 8192  # lanes filled at a time
 
 
 def splitmix64(value: int) -> int:
@@ -99,13 +100,19 @@ class Xorshift64Star:
                  ^ t6[s >> 48 & 255] ^ t7[s >> 56])
             starts.append(s)
         lanes = np.array(starts, dtype=np.uint64)
-        steps = np.empty((min(n, _LANE), len(starts)), dtype=np.uint64)
-        for row in steps:
-            _step(lanes)
-            row[:] = lanes
-        states = steps.T.ravel()[:n]
+        del starts
+        # lane-major, so the draws are its first n entries, with no copy; the
+        # lanes step in blocks whose draws (1 MiB) stay in cache
+        steps = np.empty((len(lanes), min(n, _LANE)), dtype=np.uint64)
+        for lo in range(0, len(lanes), _BLOCK_LANES):
+            block, state = steps[lo : lo + _BLOCK_LANES], lanes[lo : lo + _BLOCK_LANES]
+            for column in block.T:
+                _step(state)
+                column[:] = state
+        states = steps.reshape(-1)[:n]
         self._state = int(states[-1])
-        return states * np.uint64(_MULTIPLIER)
+        states *= np.uint64(_MULTIPLIER)
+        return states
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform floats in [0, 1) with 53 random mantissa bits."""

@@ -339,6 +339,30 @@ def test_eval_malformed_checkpoint_is_usage_error(tmp_path, doc):
     assert "Traceback" not in result.stderr
 
 
+def test_no_command_imports_numpy_ma(tmp_path):
+    # a bare np.unique imports numpy.ma on numpy 2.4, some 15 ms per process
+    fast = [*FAST_TRAIN, "--lr", "0.01"]
+    run, classwise = tmp_path / "run", tmp_path / "classwise"
+    commands = [
+        ["train", "--out-dir", str(run), *fast],
+        ["train", "--out-dir", str(classwise), "--classwise", *fast],
+        ["sweep", "--margins=-8,-6", "--out", str(tmp_path / "sweep.csv"), *fast],
+        ["eval", "--checkpoint", str(run / "checkpoint.json"),
+         "--out-dir", str(tmp_path / "eval"), *FAST_DATA],
+    ]
+    script = (
+        "import sys\n"
+        "from hashbound.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=_SUBPROCESS_ENV)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "eval" / "report.json").exists()
+
+
 def test_eval_dimension_mismatch(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert run_train(out_dir) == 0

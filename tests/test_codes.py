@@ -76,6 +76,36 @@ def test_pack_sign_rows_matches_scalar_path():
             assert from_signs(row).words == tuple(int(w) for w in packed)
 
 
+def head_pack_sign_rows(values):
+    """``pack_sign_rows`` as it was before its flat packing: a row-wise
+    ``packbits`` padded with zero bytes to whole words."""
+    n, length = values.shape
+    bits = (values >= 0.0).astype(np.uint8)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    byte_width = (length + 63) // 64 * 8
+    if packed.shape[1] < byte_width:
+        pad = np.zeros((n, byte_width - packed.shape[1]), dtype=np.uint8)
+        packed = np.concatenate([packed, pad], axis=1)
+    return np.ascontiguousarray(packed).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 64, 900])
+@pytest.mark.parametrize("length", [1, 12, 63, 64, 65, 130, 192, 193])
+def test_pack_sign_rows_matches_head_packing(n, length):
+    # normals with exact zeros and -0.0, which both pack to +1
+    rng = np.random.default_rng([n, length])
+    values = rng.normal(size=(n, length))
+    values[rng.random(size=values.shape) < 0.1] = 0.0
+    values[rng.random(size=values.shape) < 0.1] = -0.0
+    words = pack_sign_rows(values)
+    expected = head_pack_sign_rows(values)
+    assert words.dtype == np.uint64 and words.shape == expected.shape
+    assert np.array_equal(words, expected)
+    # the padding bits beyond the length are zero
+    if length % 64:
+        assert not np.any(words[:, -1] >> np.uint64(length % 64))
+
+
 def test_code_round_trip_via_bits():
     rng = np.random.default_rng(3)
     for length in LENGTHS:

@@ -353,6 +353,25 @@ def test_block_scan_single_class_database(monkeypatch, chunk):
     assert report.min_interclass_distance is None
 
 
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_query_label_absent_from_the_database(monkeypatch, chunk):
+    # label 7 has no relevant rank: AP and MAP@k 0, no hit in the curve
+    monkeypatch.setattr(evaluation, "_CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng(chunk)
+    database_words = random_words(rng, 40, 12)
+    database_labels = rng.integers(0, 3, size=40)
+    query_words = random_words(rng, 6, 12)
+    query_labels = np.array([7, 1, 7, 0, 2, 7])
+    for k in (None, 1, 10, 40, 41):
+        assert_matches_dense(query_words, query_labels, database_words,
+                             database_labels, k, 12)
+    report = mean_average_precision(query_words, np.full(6, 7), database_words,
+                                    database_labels, 10, 12)
+    assert report.map == 0.0 and report.map_at_k == 0.0
+    assert report.per_query_ap == [0.0] * 6
+    assert all(value == 0.0 for _, value in report.precision_curve)
+
+
 def test_block_scan_matches_dense_oracle_on_a_larger_database(monkeypatch):
     # a few hundred rows reach the 50 and 100 cutoffs of the precision curve
     monkeypatch.setattr(evaluation, "_CHUNK_PAIRS", 1000)
@@ -399,24 +418,38 @@ def test_duplicate_queries_are_ranked_once(monkeypatch, chunk, length):
         assert max(ranked) <= min(chunk, len(distinct))
 
 
+def map_peak_bytes(database_words, database_labels, num_queries):
+    """tracemalloc's peak over one MAP@100 call of the first ``num_queries``
+    database rows against the whole database."""
+    tracemalloc.start()
+    try:
+        mean_average_precision(
+            database_words[:num_queries], database_labels[:num_queries],
+            database_words, database_labels, 100, 64,
+        )
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_map_memory_does_not_grow_with_queries():
     # the dense form needs over 32 bytes per pair: about 500 MB at 128 x 100k
     rng = np.random.default_rng(12)
     database_words = rng.integers(0, 2**64, size=(100_000, 1), dtype=np.uint64)
     database_labels = rng.integers(0, 50, size=100_000)
+    few = map_peak_bytes(database_words, database_labels, 16)
+    many = map_peak_bytes(database_words, database_labels, 128)
+    assert many < 32 * 2**20
+    assert many <= 1.5 * few
 
-    def peak_bytes(num_queries):
-        tracemalloc.start()
-        try:
-            mean_average_precision(
-                database_words[:num_queries], database_labels[:num_queries],
-                database_words, database_labels, 100, 64,
-            )
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    few, many = peak_bytes(16), peak_bytes(128)
+def test_map_memory_does_not_grow_with_queries_on_two_classes():
+    # half of all pairs are relevant, and the relevant-rank arrays grow with them
+    rng = np.random.default_rng(13)
+    database_words = rng.integers(0, 2**64, size=(100_000, 1), dtype=np.uint64)
+    database_labels = rng.integers(0, 2, size=100_000)
+    few = map_peak_bytes(database_words, database_labels, 16)
+    many = map_peak_bytes(database_words, database_labels, 128)
     assert many < 32 * 2**20
     assert many <= 1.5 * few
 

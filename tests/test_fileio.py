@@ -1,9 +1,8 @@
 """Atomic writes: a write that fails midway keeps the old file, leaves no temp."""
 
-import json
-
 import pytest
 
+from hashbound import fileio
 from hashbound.encoder import TrainConfig, init_params, save_checkpoint
 from hashbound.fileio import atomic_open
 
@@ -47,11 +46,26 @@ def test_checkpoint_write_failing_midway_keeps_the_old_checkpoint(tmp_path, monk
     save_checkpoint(path, init_params(6, 10, 8, seed=1), config, epoch=3)
     before = path.read_bytes()
 
-    def dump_half(doc, fh, **kwargs):
-        fh.write(json.dumps(doc, **kwargs)[:200])
-        raise OSError("disk full")
+    class HalfWrite:
+        """A text handle whose write puts down 200 characters, then fails."""
 
-    monkeypatch.setattr(json, "dump", dump_half)
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, text):
+            self._fh.write(text[:200])
+            raise OSError("disk full")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._fh.__exit__(*exc)
+
+    monkeypatch.setattr(
+        fileio, "open", lambda *args, **kwargs: HalfWrite(open(*args, **kwargs)),
+        raising=False,
+    )
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, init_params(6, 10, 8, seed=2), config, epoch=3)
     assert path.read_bytes() == before

@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hashbound import prng
 from hashbound.prng import Xorshift64Star
 
 MASK64 = (1 << 64) - 1
@@ -98,6 +100,17 @@ def test_raw_draws_are_next_u64(n):
     assert end_state(bulk) == end_state(scalar)
 
 
+# blocks of 1 and 3 lanes: n = 47, 48 and 49 end one short of, on and just
+# past the first 3-lane block boundary
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("n", [1, 16, 17, 47, 48, 49, 200])
+def test_raw_draws_in_blocks_of_lanes_are_next_u64(monkeypatch, block, n):
+    monkeypatch.setattr(prng, "_BLOCK_LANES", block)
+    bulk, scalar = Xorshift64Star(99, 5), Xorshift64Star(99, 5)
+    assert bulk._raw(n).tolist() == [head_next_u64(scalar) for _ in range(n)]
+    assert end_state(bulk) == end_state(scalar)
+
+
 def test_normals_spare_crosses_mixed_bulk_calls():
     # odd counts leave a spare for the next normals call; uniforms and
     # permutations in between draw from the stream and leave the spare alone
@@ -135,6 +148,21 @@ def test_permutations_are_rows_of_scalar_fisher_yates(seed, stream, n, count):
     for row in got:
         assert np.array_equal(row, scalar_permutation(scalar, n))
     assert end_state(bulk) == end_state(scalar)
+
+
+def test_permutations_hold_one_copy_of_their_draws():
+    # 20000 rows of 60: the output and the 59 draws per row take 8 bytes per
+    # entry each; a copy of the draws more would pass 3x the output
+    Xorshift64Star(0).permutations(2, 1)  # the jump tables, built once
+    rng = Xorshift64Star(5)
+    tracemalloc.start()
+    try:
+        out = rng.permutations(60, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (20000, 60)
+    assert peak < 2.5 * out.nbytes
 
 
 def test_import_builds_no_jump_tables():
