@@ -59,7 +59,6 @@ from .losses import (
     ClassCenters,
     LossReport,
     total_loss,
-    update_centers,
 )
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ accepts ``--config PATH`` pointing at a JSON object whose keys are the long
 flag names with underscores; explicit flags override the file.  A config
 file that cannot be decoded as UTF-8 or parsed as JSON, names an unknown
 field or gives a value of the wrong type is a usage error.  ``--out`` files
-and ``--out-dir`` directories get their missing parent directories created.
+and ``--out-dir`` directories get their missing parent directories created;
+an ``--out-dir`` that is, or lies under, a file fails before data is loaded.
 
 ``sweep`` trains its points one after another in this process; its CSV rows
 and printed lines follow the order of the points.  A point skips the
@@ -24,7 +25,6 @@ timestamp isolated inside evaluation reports.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -54,7 +54,7 @@ from .encoder import (
     training_margins,
 )
 from .evaluation import EvalReport, mean_average_precision
-from .fileio import atomic_open
+from .fileio import write_csv, write_json
 
 __all__ = ["main", "entry_point"]
 
@@ -110,11 +110,8 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--batch-size", type=int, default=64)
     group.add_argument("--epochs", type=int, default=50)
     group.add_argument("--seed", type=int, default=0)
-    group.add_argument("--classwise", action="store_true",
-                       help="compare against class centers instead of all pairs")
     group.add_argument("--margin-override", type=int, default=None,
                        help="use this negative margin instead of the derived one")
-    group.add_argument("--center-momentum", type=float, default=0.9)
 
 
 def _build_parser() -> _Parser:
@@ -203,8 +200,6 @@ def _config_type_error(action: argparse.Action, value) -> str | None:
     """What a config value for ``action`` should have been, or None if it fits."""
     if value is None:
         return None if action.default is None else "a value, not null"
-    if isinstance(action, argparse._StoreTrueAction):
-        return None if isinstance(value, bool) else "true or false"
     accepted = (int, float) if action.type is float else action.type
     if isinstance(value, accepted) and not isinstance(value, bool):
         return None
@@ -260,9 +255,7 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
         batch_size=args.batch_size,
         epochs=args.epochs,
         seed=args.seed,
-        classwise=args.classwise,
         margin_override=args.margin_override,
-        center_momentum=args.center_momentum,
     )
 
 
@@ -305,16 +298,14 @@ def _output_file(text: str) -> Path:
     return path
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(doc, indent=1) + "\n")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _output_dir(text: str) -> Path:
+    """The ``--out-dir`` path; a runtime failure, before any data is loaded, if
+    the nearest of it and its ancestors that exists is not a directory."""
+    path = Path(text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise _RuntimeFailure(f"--out-dir {path}: {existing} is not a directory")
+    return path
 
 
 def _write_report(out_dir: Path, report: EvalReport, meta: dict) -> None:
@@ -325,8 +316,8 @@ def _write_report(out_dir: Path, report: EvalReport, meta: dict) -> None:
         "tie_break": "distance ascending, then database index ascending",
         **meta,
     }
-    _write_json(out_dir / "report.json", doc)
-    _write_csv(
+    write_json(out_dir / "report.json", doc)
+    write_csv(
         out_dir / "precision_curve.csv",
         ["k", "precision"],
         ([cutoff, repr(value)] for cutoff, value in report.precision_curve),
@@ -357,7 +348,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             value = "yes" if value else "no"
         print(f"{label + ':':<20}{value}")
     if args.out:
-        _write_json(_output_file(args.out), doc)
+        write_json(_output_file(args.out), doc)
     return EXIT_OK
 
 
@@ -375,16 +366,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _require(args, "out_dir")
     _check_cutoff(args)
     config = _train_config(args)
+    out_dir = _output_dir(args.out_dir)
     dataset = _load_dataset(args)
     splits = _make_splits(args, dataset)
     _warn_on_zero_negative_margin([training_margins(splits, config)])
 
     params, history = train(splits, config)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     save_checkpoint(out_dir / "checkpoint.json", params, config, epoch=config.epochs)
-    _write_csv(
+    write_csv(
         out_dir / "history.csv",
         ["epoch", "pairwise", "quan", "total", "val_map", "min_dist"],
         (
@@ -393,7 +384,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             for r in history.records
         ),
     )
-    _write_json(
+    write_json(
         out_dir / "splits.json",
         {
             "train": splits.train.tolist(),
@@ -408,7 +399,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         report,
         {
             "negative_margin": history.margins.negative_margin,
-            "classwise": config.classwise,
             "seed": config.seed,
         },
     )
@@ -437,6 +427,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise _RuntimeFailure(
             f"corrupted checkpoint {path}: not UTF-8 text ({exc.reason})"
         ) from exc
+    out_dir = _output_dir(args.out_dir)
     dataset = _load_dataset(args)
     if dataset.dim != params.input_dim:
         raise _RuntimeFailure(
@@ -445,7 +436,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         )
     splits = _make_splits(args, dataset)
     report = _evaluate(params, splits, args.k)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir, report, {"checkpoint": str(path), "epoch": meta.get("epoch")})
     print(f"query MAP {report.map:.4f}" + (f", MAP@{args.k} {report.map_at_k:.4f}" if args.k else ""))
@@ -519,7 +509,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows.append([parameter, value, seed, repr(result), "ok", value == derived])
         print(f"{parameter}={value} seed={seed}: MAP {result:.4f}")
 
-    _write_csv(out, ["parameter", "value", "seed", "map", "status", "bound_derived"], rows)
+    write_csv(out, ["parameter", "value", "seed", "map", "status", "bound_derived"], rows)
     return EXIT_RUNTIME if any(row[4] == "failed" for row in rows) else EXIT_OK
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_open
+from .fileio import write_csv
 from .prng import Xorshift64Star
 
 __all__ = [
@@ -122,11 +122,9 @@ def generate_synthetic(
 
 def save_csv(path, dataset: FeatureDataset) -> None:
     """Write ``label,f0,...,f{D-1}`` rows; floats use repr (round-trip exact)."""
-    with atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(dataset.dim)])
-        for label, row in zip(dataset.labels, dataset.features):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+    header = ["label"] + [f"f{i}" for i in range(dataset.dim)]
+    rows = zip(dataset.labels, dataset.features)
+    write_csv(path, header, ([int(label)] + [repr(float(v)) for v in row] for label, row in rows))
 
 
 def load_csv(path) -> tuple[FeatureDataset, dict[int, int]]:

@@ -25,8 +25,8 @@ from .bounds import BoundProblem, MarginSet, derive_margins, margins_from_negati
 from .codes import pack_sign_rows
 from .data import DatasetSplits
 from .evaluation import mean_average_precision
-from .fileio import atomic_open
-from .losses import ClassCenters, _total, update_centers
+from .fileio import write_json
+from .losses import _total
 from .prng import Xorshift64Star
 
 __all__ = [
@@ -232,9 +232,7 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 50
     seed: int = 0
-    classwise: bool = False
     margin_override: int | None = None  # explicit negative margin for sweeps
-    center_momentum: float = 0.9
 
     def __post_init__(self) -> None:
         if self.code_bits < 1 or self.hidden_dim < 1:
@@ -243,9 +241,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        # 1.0 freezes each class center after its first update; rejects nan too
-        if not 0.0 <= self.center_momentum <= 1.0:
-            raise ValueError("center_momentum must be in [0, 1]")
         if not (math.isfinite(self.quant_weight) and self.quant_weight >= 0):
             raise ValueError("quant_weight must be finite and >= 0")
         if self.batch_size < 2:
@@ -302,22 +297,19 @@ def train(
 ) -> tuple[EncoderParams, TrainHistory]:
     """Train the encoder on the train split; track validation MAP per epoch.
 
-    Per epoch: seeded shuffle, then per mini-batch forward -> loss (pairwise
-    or class-center variant) -> backward -> momentum step.  The step runs in
-    place: the weights, the velocity and the gradients each live in one flat
-    float64 buffer, the params' four arrays are views into the first, the
-    gradients are written into their views and one momentum update runs over
-    the flat buffers.  The backward pass reuses the forward pass's hidden
-    layer, and the loss kernels run on the relaxed codes checked finite once.
+    Per epoch: seeded shuffle, then per mini-batch forward -> pairwise hinge
+    loss -> backward -> momentum step.  The step runs in place: the weights,
+    the velocity and the gradients each live in one flat float64 buffer, the
+    params' four arrays are views into the first, the gradients are written
+    into their views and one momentum update runs over the flat buffers.  The
+    backward pass reuses the forward pass's hidden layer, and the loss kernel
+    runs on the relaxed codes checked finite once.
     The returned params are views into a buffer of this call alone.
 
     The epoch shuffles are the rows of one read-only (epochs, n) array drawn
     from the seed's shuffle stream and cached on (seed, n, epochs), so the
-    points of a sweep that share a seed draw them once.  In class-center
-    mode the centers are EMA-updated after each step from that batch's
-    relaxed codes, and are initialized from a full forward pass over the
-    train split before the first epoch.  A trailing batch of fewer than two
-    samples is skipped (no pairs can be formed from it).
+    points of a sweep that share a seed draw them once.  A trailing batch
+    of fewer than two samples is skipped (no pairs can be formed from it).
 
     The per-epoch record holds the batch-mean loss components, the MAP of
     the validation split queried against the database split, and the minimum
@@ -340,7 +332,6 @@ def train(
     margins = training_margins(splits, config)
     dataset = splits.dataset
     train_labels = dataset.labels[splits.train]
-    num_classes = dataset.num_classes
     initial = init_params(dataset.dim, config.hidden_dim, config.code_bits, config.seed)
     # every step updates these flat buffers in place; the params are views
     weights = _flat(initial)
@@ -355,13 +346,6 @@ def train(
     val_features = dataset.features[splits.validation]
     val_labels = dataset.labels[splits.validation]
     max_abs_feature = max(np.abs(db_features).max(), np.abs(val_features).max())
-    centers: ClassCenters | None = None
-    if config.classwise:
-        centers = update_centers(
-            ClassCenters.empty(num_classes, config.code_bits, config.center_momentum),
-            forward(params, train_features),
-            train_labels,
-        )
 
     records: list[EpochRecord] = []
     n = len(splits.train)
@@ -389,14 +373,12 @@ def train(
                 hidden = _hidden(params, feats)
                 relaxed = _codes(params, hidden)
                 check_finite(relaxed, epoch)
-                report = _total(relaxed, labels, margins, config.quant_weight, centers)
+                report = _total(relaxed, labels, margins, config.quant_weight, None)
                 check_finite(report.total, epoch)
                 _gradients(params, feats, hidden, report.code_grads, grad_views)
                 _momentum_step(
                     weights, grads, velocity, config.learning_rate, config.momentum
                 )
-                if config.classwise:
-                    centers = update_centers(centers, relaxed, labels)
                 sum_pair += report.pairwise
                 sum_quan += report.quantization
                 sum_total += report.total
@@ -447,8 +429,7 @@ def save_checkpoint(
     }
     for key in _CHECKPOINT_KEYS:
         doc[key] = [float(v) for v in getattr(params, key).ravel()]
-    with atomic_open(path) as fh:
-        fh.write(json.dumps(doc, indent=1) + "\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, dict[str, Any]]:

@@ -32,7 +32,6 @@ __all__ = [
     "LossReport",
     "ClassCenters",
     "total_loss",
-    "update_centers",
 ]
 
 
@@ -130,34 +129,22 @@ class LossReport:
 
 @dataclass(frozen=True)
 class ClassCenters:
-    """One maintained relaxed center per class, EMA-updated between steps.
+    """One relaxed center per class, held constant by the class-center loss.
 
-    ``counts[c]`` is the number of updates class c has received; a zero
-    count marks an uninitialized center.
+    A zero ``counts[c]`` marks class c's center as uninitialized: no code is
+    compared against it, and a batch may hold no code of class c.
     """
 
     values: np.ndarray
     counts: np.ndarray
-    momentum: float = 0.9
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         counts = np.asarray(self.counts, dtype=np.int64)
         if values.ndim != 2 or len(counts) != values.shape[0]:
             raise ValueError("centers must be (num_classes, L) with one count each")
-        # momentum 1.0 is allowed and freezes the centers after their first update
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ValueError("momentum must be in [0, 1]")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def empty(cls, num_classes: int, code_bits: int, momentum: float = 0.9) -> "ClassCenters":
-        return cls(
-            values=np.zeros((num_classes, code_bits)),
-            counts=np.zeros(num_classes, dtype=np.int64),
-            momentum=momentum,
-        )
 
     @property
     def num_classes(self) -> int:
@@ -168,7 +155,7 @@ def _classwise(
     codes: np.ndarray, labels: np.ndarray, centers: ClassCenters, margins
 ) -> tuple[float, np.ndarray]:
     own = labels[:, None] == np.arange(centers.num_classes)
-    # classes that never received an update have meaningless center values
+    # uninitialized centers have meaningless values
     initialized = centers.counts > 0
     loss, dtheta = _hinge(codes @ centers.values.T, own, ~own & initialized, margins)
     return loss, dtheta @ centers.values
@@ -221,27 +208,3 @@ def total_loss(
         if np.any(centers.counts[labels] == 0):
             raise ValueError("every class in the batch needs an initialized center")
     return _total(codes, labels, margins, quant_weight, centers)
-
-
-def update_centers(
-    centers: ClassCenters, codes: np.ndarray, labels: np.ndarray
-) -> ClassCenters:
-    """EMA update of the centers for every class present in the batch.
-
-    center <- momentum * center + (1 - momentum) * mean(class codes); a
-    class's first update sets its center to the batch mean outright.
-    """
-    codes = _as_code_batch(codes)
-    labels = _as_batch_labels(labels, codes, centers.num_classes)
-
-    values = centers.values.copy()
-    counts = centers.counts.copy()
-    # the classes present, ascending
-    for c in np.flatnonzero(np.bincount(labels, minlength=centers.num_classes)):
-        mean = codes[labels == c].mean(axis=0)
-        if counts[c] == 0:
-            values[c] = mean
-        else:
-            values[c] = centers.momentum * values[c] + (1.0 - centers.momentum) * mean
-        counts[c] += 1
-    return ClassCenters(values=values, counts=counts, momentum=centers.momentum)

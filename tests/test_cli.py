@@ -15,7 +15,7 @@ import hashbound.encoder as encoder_module
 from hashbound import cli
 from hashbound.cli import main
 from hashbound.data import SplitSpec, generate_synthetic, load_csv, split_dataset
-from hashbound.encoder import TrainConfig
+from hashbound.encoder import TrainConfig, init_params, save_checkpoint
 from hashbound.prng import Xorshift64Star
 
 FAST_DATA = [
@@ -157,30 +157,31 @@ def test_train_invalid_config_no_partial_outputs(tmp_path, capsys):
     assert "cannot place 6 distinct codewords" in capsys.readouterr().err
 
 
-def test_train_records_classwise_flag(tmp_path):
-    out_dir = tmp_path / "run"
-    assert run_train(out_dir, ["--classwise"]) == 0
-    checkpoint = json.loads((out_dir / "checkpoint.json").read_text())
-    assert checkpoint["config"]["classwise"] is True
-
-
 def test_train_write_failing_midway_keeps_the_old_outputs(tmp_path, monkeypatch, capsys):
-    out_dir = tmp_path / "run"
+    out_dir, new_dir = tmp_path / "run", tmp_path / "new"
+    rerun = ["--seed", "1", "--split-seed", "1"]
     assert run_train(out_dir) == 0
+    assert run_train(new_dir, rerun) == 0
     before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    new = {p.name: p.read_bytes() for p in new_dir.iterdir()}
+    real_dumps = json.dumps
 
-    def failing_dumps(*args, **kwargs):
-        raise OSError("disk full")
+    def dumps_failing_on_splits(doc, *args, **kwargs):
+        if "database" in doc:  # the splits.json document
+            raise OSError("disk full")
+        return real_dumps(doc, *args, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", failing_dumps)
-    assert run_train(out_dir, ["--seed", "1"]) == 2
+    monkeypatch.setattr(json, "dumps", dumps_failing_on_splits)
+    assert run_train(out_dir, rerun) == 2
     assert "disk full" in capsys.readouterr().err
     # checkpoint.json and history.csv were written before the failing
     # splits.json; the rest are the previous run's bytes, and no temp is left
     after = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert sorted(after) == sorted(before)
+    for name in ("checkpoint.json", "history.csv"):
+        assert after[name] == new[name] != before[name], name
     for name in ("splits.json", "report.json", "precision_curve.csv"):
-        assert after[name] == before[name]
+        assert after[name] == before[name] != new[name], name
 
 
 def test_sweep_write_failing_midway_keeps_the_old_table(tmp_path, monkeypatch, capsys):
@@ -229,6 +230,33 @@ def train_forbidden(splits, config, **kwargs):
     raise AssertionError("train() was called")
 
 
+def data_forbidden(*args, **kwargs):
+    raise AssertionError("the dataset was loaded")
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["is-a-file", "under-a-file"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_out_dir_on_an_existing_file_is_refused_before_loading_data(
+    tmp_path, monkeypatch, capfd, command, under
+):
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(checkpoint, init_params(8, 4, 8, seed=0), TrainConfig(code_bits=8),
+                    epoch=0)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out_dir = blocker / "run" if under else blocker
+    monkeypatch.setattr(cli, "train", train_forbidden)
+    monkeypatch.setattr(cli, "generate_synthetic", data_forbidden)
+    argv = {"train": ["train", *FAST_TRAIN],
+            "eval": ["eval", "--checkpoint", str(checkpoint), *FAST_DATA]}[command]
+    assert main([*argv, "--out-dir", str(out_dir)]) == 2
+    assert capfd.readouterr() == (
+        "", f"error: --out-dir {out_dir}: {blocker} is not a directory\n"
+    )
+    assert blocker.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.json", "file"]
+
+
 # Where each command writes: train an --out-dir, sweep an --out CSV.
 OUTPUTS = {"train": ["--out-dir", "run"], "sweep": ["--margins=-8,-6", "--out", "s.csv"]}
 
@@ -273,6 +301,30 @@ def test_eval_reproduces_train_report(tmp_path):
     assert eval_report["map"] == train_report["map"]
     assert eval_report["per_query_ap"] == train_report["per_query_ap"]
     assert eval_report["precision_curve"] == train_report["precision_curve"]
+
+
+def test_eval_reads_a_checkpoint_with_the_class_center_config_keys(tmp_path):
+    # checkpoints written while train had a class-center mode hold two more
+    # config keys, which eval ignores as it ignores the rest of the config
+    assert run_train(tmp_path / "run") == 0
+    doc = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
+    assert "classwise" not in doc["config"] and "center_momentum" not in doc["config"]
+    config = {}
+    for key, value in doc["config"].items():  # in the order those checkpoints hold
+        if key == "margin_override":
+            config["classwise"] = False
+        config[key] = value
+    config["center_momentum"] = 0.9
+    checkpoint = tmp_path / "checkpoint.json"
+    outputs = {}
+    for name, version in (("old", {**doc, "config": config}), ("new", doc)):
+        checkpoint.write_text(json.dumps(version, indent=1) + "\n")
+        assert main(["eval", "--checkpoint", str(checkpoint), "--k", "10",
+                     "--out-dir", str(tmp_path / name), *FAST_DATA]) == 0
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        report["metadata"].pop("created_at")
+        outputs[name] = report, (tmp_path / name / "precision_curve.csv").read_bytes()
+    assert outputs["old"] == outputs["new"]
 
 
 def test_eval_records_cutoff(tmp_path):
@@ -342,10 +394,9 @@ def test_eval_malformed_checkpoint_is_usage_error(tmp_path, doc):
 def test_no_command_imports_numpy_ma(tmp_path):
     # a bare np.unique imports numpy.ma on numpy 2.4, some 15 ms per process
     fast = [*FAST_TRAIN, "--lr", "0.01"]
-    run, classwise = tmp_path / "run", tmp_path / "classwise"
+    run = tmp_path / "run"
     commands = [
         ["train", "--out-dir", str(run), *fast],
-        ["train", "--out-dir", str(classwise), "--classwise", *fast],
         ["sweep", "--margins=-8,-6", "--out", str(tmp_path / "sweep.csv"), *fast],
         ["eval", "--checkpoint", str(run / "checkpoint.json"),
          "--out-dir", str(tmp_path / "eval"), *FAST_DATA],
@@ -604,17 +655,28 @@ def test_sweep_value_error_in_a_worker_is_a_usage_error(tmp_path, capfd):
     )
 
 
-def test_center_momentum_out_of_range_leaves_nothing(tmp_path, capfd):
-    out_dir = tmp_path / "X"
-    assert main(["train", "--classwise", "--center-momentum", "2", *FAST_TRAIN,
-                 "--out-dir", str(out_dir)]) == 1
-    assert not out_dir.exists()
-    assert capfd.readouterr().err == "error: center_momentum must be in [0, 1]\n"
-    # a sweep refuses it before the first point trains
-    argv = ["--margins=-8,-6", "--classwise", "--center-momentum", "nan", *FAST_TRAIN]
-    result = run_sweep(capfd, tmp_path / "new" / "s.csv", argv)
-    assert result == (1, None, "", "error: center_momentum must be in [0, 1]\n")
-    assert not (tmp_path / "new").exists()
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["train", "--classwise", *OUTPUTS["train"]], "unrecognized arguments: --classwise"),
+        (["train", "--center-momentum", "0.5", *OUTPUTS["train"]],
+         "unrecognized arguments: --center-momentum 0.5"),
+        (["sweep", "--classwise", *OUTPUTS["sweep"]], "unrecognized arguments: --classwise"),
+        (["train", "--config", "config.json", *OUTPUTS["train"]],
+         "config file config.json: unknown field 'classwise'"),
+    ],
+    ids=["train-classwise", "train-center-momentum", "sweep-classwise", "config-file"],
+)
+def test_class_center_training_options_are_usage_errors(tmp_path, monkeypatch, capfd,
+                                                        argv, message):
+    # the class-center training mode and its center momentum are gone
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "train", train_forbidden)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"classwise": True}))
+    assert main([*argv, *FAST_TRAIN]) == 1
+    assert capfd.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_sigterm_ends_the_sweep_and_its_workers(tmp_path):
@@ -727,7 +789,7 @@ def test_config_file_wrong_value_type(tmp_path, capsys, values, field):
     "values",
     [
         {"epochs": None},
-        {"classwise": 1},
+        {"classwise": 1},  # no longer a flag: refused as an unknown field
         {"lr": "0.1"},
         {"margin_override": -6.0},
     ],
@@ -742,16 +804,15 @@ def test_config_file_wrong_train_value_type(tmp_path, capsys, values):
 
 
 def test_config_file_typed_values_accepted(tmp_path):
-    # an integer for a float flag, a bool for a switch, null for an unset flag
+    # an integer for a float flag, null for an unset flag
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
-        "lr": 1, "classwise": True, "margin_override": None, "k": None,
-        "out_dir": str(tmp_path / "run"),
+        "momentum": 0, "margin_override": None, "k": None, "out_dir": str(tmp_path / "run"),
     }))
     assert main(["train", "--config", str(config), *FAST_TRAIN]) == 0
     checkpoint = json.loads((tmp_path / "run" / "checkpoint.json").read_text())
-    assert checkpoint["config"]["classwise"] is True
-    assert checkpoint["config"]["learning_rate"] == 1
+    assert checkpoint["config"]["momentum"] == 0
+    assert checkpoint["config"]["margin_override"] is None
 
 
 def test_config_file_invalid_json(tmp_path, capsys):

@@ -36,7 +36,7 @@ from hashbound.encoder import (
 )
 from hashbound.codes import Codebook, from_signs, pack_sign_rows
 from hashbound.evaluation import mean_average_precision
-from hashbound.losses import ClassCenters, _total, total_loss, update_centers
+from hashbound.losses import ClassCenters, _total, total_loss
 from hashbound.prng import Xorshift64Star
 from test_losses import head_total_loss
 from test_prng import scalar_permutation
@@ -275,7 +275,7 @@ def head_momentum_step(weights, grads, velocity, learning_rate, momentum):
         theta += v
 
 
-STEP_BATCHES = {  # rows, label values drawn from, feature scale, classwise
+STEP_BATCHES = {  # rows, label values drawn from, feature scale, fixed class centers
     "ties": (64, 3, 1.0, False),
     "one-class": (16, 1, 1.0, False),  # no dissimilar pair
     "all-distinct": (12, None, 1.0, False),  # no similar pair
@@ -331,8 +331,6 @@ def test_training_step_matches_the_previous_chain_bitwise(batch, negative_margin
                 assert bits_equal(got, expected)
             for got, expected in zip(_arrays(_views(velocity, initial)), want_velocity):
                 assert bits_equal(got, expected)
-            if classwise:
-                centers = update_centers(centers, relaxed, labels)
     if scale > 1.0:
         assert np.abs(_hidden(params, feats)).min() == 1.0
 
@@ -451,14 +449,6 @@ def test_train_handles_trailing_single_sample():
     assert len(history.records) == 2
 
 
-def test_train_classwise_mode_learns():
-    splits = small_splits()
-    config = TrainConfig(code_bits=8, epochs=25, batch_size=16, seed=4, classwise=True)
-    _, history = train(splits, config)
-    assert history.records[-1].val_map > 0.9
-    assert history.records[-1].total < history.records[0].total
-
-
 def test_training_progress_when_margin_is_attainable():
     # With two classes the clamped margin (antipodal codes) is realizable,
     # so the objective can actually approach zero.
@@ -498,14 +488,6 @@ def reference_train(splits, config):
     velocity = zero_params(params)
     shuffle_rng = Xorshift64Star(config.seed, stream=_STREAM_SHUFFLE)
     train_features = dataset.features[splits.train]
-    centers = None
-    if config.classwise:
-        centers = update_centers(
-            ClassCenters.empty(dataset.num_classes, config.code_bits,
-                               config.center_momentum),
-            forward(params, train_features),
-            train_labels,
-        )
 
     def check_finite(value, epoch):
         if not np.all(np.isfinite(value)):
@@ -528,14 +510,12 @@ def reference_train(splits, config):
                 feats, labels = train_features[rows], train_labels[rows]
                 relaxed = forward(params, feats)
                 check_finite(relaxed, epoch)
-                report = total_loss(relaxed, labels, margins, config.quant_weight, centers)
+                report = total_loss(relaxed, labels, margins, config.quant_weight)
                 check_finite(report.total, epoch)
                 grads = head_backward(params, feats, report.code_grads)
                 params, velocity = head_sgd_step(
                     params, grads, velocity, config.learning_rate, config.momentum
                 )
-                if config.classwise:
-                    centers = update_centers(centers, relaxed, labels)
                 sum_pair += report.pairwise
                 sum_quan += report.quantization
                 sum_total += report.total
@@ -564,13 +544,11 @@ def reference_train(splits, config):
     "overrides",
     [
         {},
-        {"classwise": True, "epochs": 6},
         {"batch_size": 59},  # 60 train rows: a trailing batch of one is skipped
         {"quant_weight": 0.0},
         {"momentum": 0.9, "hidden_dim": 5, "learning_rate": 0.2},
     ],
-    ids=["pairwise", "classwise", "trailing-single-sample", "no-quantization",
-         "high-momentum"],
+    ids=["pairwise", "trailing-single-sample", "no-quantization", "high-momentum"],
 )
 def test_train_matches_reference_loop_bitwise(overrides):
     splits = small_splits(seed=2)
@@ -596,12 +574,12 @@ def test_train_diverges_at_the_reference_loop_epoch(learning_rate, epoch):
     assert f"at epoch {epoch};" in str(got.value)
 
 
-@pytest.mark.parametrize("classwise", [False, True], ids=["pairwise", "classwise"])
+@pytest.mark.parametrize("overrides", [{}], ids=["pairwise"])
 @pytest.mark.parametrize("seed", [0, 3])
-def test_train_without_validation_gives_the_same_params(classwise, seed):
+def test_train_without_validation_gives_the_same_params(overrides, seed):
     splits = small_splits(seed=seed)
-    config = TrainConfig(code_bits=8, epochs=4, batch_size=16, seed=seed,
-                         classwise=classwise)
+    config = TrainConfig(**{"code_bits": 8, "epochs": 4, "batch_size": 16, "seed": seed,
+                            **overrides})
     params, history = train(splits, config)
     lean_params, lean_history = train(splits, config, validate=False)
     for f in dataclasses.fields(EncoderParams):
@@ -687,9 +665,8 @@ def test_forward_is_finite_refuses_overflowing_sums():
         assert np.isinf(forward(output, one)).all()
 
 
-@pytest.mark.parametrize("classwise,calls", [(False, 0), (True, 1)],
-                         ids=["pairwise", "classwise"])
-def test_train_without_validation_runs_no_epoch_end_forward(monkeypatch, classwise, calls):
+@pytest.mark.parametrize("overrides", [{}], ids=["pairwise"])
+def test_train_without_validation_runs_no_epoch_end_forward(monkeypatch, overrides):
     import hashbound.encoder as encoder_module
 
     seen = []
@@ -700,22 +677,20 @@ def test_train_without_validation_runs_no_epoch_end_forward(monkeypatch, classwi
 
     monkeypatch.setattr(encoder_module, "forward", spy)
     splits = small_splits()
-    train(splits, TrainConfig(code_bits=8, epochs=4, batch_size=16, classwise=classwise),
+    train(splits, TrainConfig(**{"code_bits": 8, "epochs": 4, "batch_size": 16, **overrides}),
           validate=False)
-    # classwise: only the center init, over the train split
-    assert seen == [len(splits.train)] * calls
+    assert seen == []
 
 
 @pytest.mark.parametrize(
     "overrides",
     [
         {},
-        {"classwise": True},
         {"learning_rate": 1e12},
         {"learning_rate": 1e3},
         {"learning_rate": sys.float_info.max, "batch_size": 60, "epochs": 1},
     ],
-    ids=["pairwise", "classwise", "diverges-epoch-1", "diverges-epoch-2",
+    ids=["pairwise", "diverges-epoch-1", "diverges-epoch-2",
          "diverges-at-epoch-end"],
 )
 def test_train_without_validation_matches_the_unproven_path(monkeypatch, overrides):
@@ -769,11 +744,3 @@ def test_train_shares_no_buffer_between_calls():
         a[...] = np.nan
     third, _ = train(splits, config, validate=False)
     assert all(bits_equal(a, b) for a, b in zip(_arrays(third), kept))
-
-
-def test_train_config_rejects_bad_center_momentum():
-    for bad in (-0.1, 1.5, 2.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="center_momentum"):
-            TrainConfig(code_bits=8, center_momentum=bad)
-    for good in (0.0, 0.5, 1.0):
-        TrainConfig(code_bits=8, center_momentum=good)

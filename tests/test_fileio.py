@@ -1,10 +1,14 @@
-"""Atomic writes: a write that fails midway keeps the old file, leaves no temp."""
+"""Atomic writes, and the two text formats of the artifacts.
+
+A write that fails midway keeps the old file and leaves no temp file.  JSON
+is indented by one space, CSV lines end in CRLF.
+"""
 
 import pytest
 
 from hashbound import fileio
 from hashbound.encoder import TrainConfig, init_params, save_checkpoint
-from hashbound.fileio import atomic_open
+from hashbound.fileio import atomic_open, write_csv, write_json
 
 
 def names(directory):
@@ -38,6 +42,16 @@ def test_atomic_open_failure_keeps_the_old_file(tmp_path):
                 raise RuntimeError("midway")
     assert path.read_text() == "old\n"
     assert names(tmp_path) == ["out.txt"]  # no new.txt and no temp file
+
+
+def test_artifact_text_formats(tmp_path):
+    write_json(tmp_path / "doc.json", {"a": [1, 2.5], "b": None})
+    assert (tmp_path / "doc.json").read_bytes() == (
+        b'{\n "a": [\n  1,\n  2.5\n ],\n "b": null\n}\n'
+    )
+    write_csv(tmp_path / "table.csv", ["k", "v"], ([k, repr(k / 4)] for k in range(2)))
+    assert (tmp_path / "table.csv").read_bytes() == b"k,v\r\n0,0.0\r\n1,0.25\r\n"
+    assert names(tmp_path) == ["doc.json", "table.csv"]
 
 
 def test_checkpoint_write_failing_midway_keeps_the_old_checkpoint(tmp_path, monkeypatch):

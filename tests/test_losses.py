@@ -20,7 +20,6 @@ from hashbound.losses import (
     _pairwise,
     _quantization,
     total_loss,
-    update_centers,
 )
 
 MARGINS_12 = margins_from_negative(12, -6)
@@ -490,12 +489,8 @@ def test_total_loss_gradient_matches_finite_differences(quant_weight):
 
 # --- class-center variant -----------------------------------------------------------
 
-def make_centers(values: np.ndarray, momentum: float = 0.9) -> ClassCenters:
-    return ClassCenters(
-        values=values,
-        counts=np.ones(values.shape[0], dtype=np.int64),
-        momentum=momentum,
-    )
+def make_centers(values: np.ndarray) -> ClassCenters:
+    return ClassCenters(values=values, counts=np.ones(values.shape[0], dtype=np.int64))
 
 
 def test_classwise_zero_loss_construction():
@@ -559,50 +554,6 @@ def test_classwise_gradient_matches_finite_differences():
             codes,
         )
         assert relative_error(report.code_grads, numeric) < 1e-5
-
-
-# --- center maintenance ----------------------------------------------------------
-
-def test_update_centers_momentum_zero_tracks_batch():
-    centers = make_centers(np.zeros((2, 3)), momentum=0.0)
-    codes = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    updated = update_centers(centers, codes, np.array([0, 1]))
-    assert np.array_equal(updated.values, codes)
-    assert updated.counts.tolist() == [2, 2]
-
-
-def test_update_centers_momentum_one_freezes():
-    values = np.array([[1.0, -1.0], [0.5, 0.5]])
-    centers = make_centers(values.copy(), momentum=1.0)
-    updated = update_centers(centers, np.array([[9.0, 9.0]]), np.array([0]))
-    assert np.array_equal(updated.values, values)
-
-
-def test_update_centers_first_update_sets_mean():
-    centers = ClassCenters(values=np.zeros((2, 2)), counts=np.zeros(2, dtype=np.int64),
-                           momentum=0.9)
-    codes = np.array([[2.0, 4.0], [4.0, 2.0], [-1.0, -1.0]])
-    updated = update_centers(centers, codes, np.array([0, 0, 1]))
-    assert updated.values[0].tolist() == [3.0, 3.0]
-    assert updated.values[1].tolist() == [-1.0, -1.0]
-    assert updated.counts.tolist() == [1, 1]
-
-
-def test_update_centers_two_step_ema_closed_form():
-    # after init at c0: c1 = b*c0 + (1-b)*m1, c2 = b*c1 + (1-b)*m2
-    centers = make_centers(np.array([[3.0]]), momentum=0.9)
-    step1 = update_centers(centers, np.array([[1.0]]), np.array([0]))
-    step2 = update_centers(step1, np.array([[-2.0]]), np.array([0]))
-    assert step1.values[0, 0] == pytest.approx(2.8000000000000003)
-    assert step2.values[0, 0] == pytest.approx(2.3200000000000003)
-
-
-def test_update_centers_only_touches_present_classes():
-    values = np.array([[1.0, 1.0], [5.0, 5.0]])
-    centers = make_centers(values.copy(), momentum=0.0)
-    updated = update_centers(centers, np.array([[0.0, 0.0]]), np.array([0]))
-    assert np.array_equal(updated.values[1], values[1])
-    assert updated.counts.tolist() == [2, 1]
 
 
 def test_pair_mask_is_cached_read_only():
