@@ -7,11 +7,12 @@ evaluated as ``num_classes * volume <= 2**bits`` with no division and no
 floating point, so boundary cases are decided exactly even at 64 bits and
 beyond.
 
-The quantity this module ultimately produces is a pair of inner-product
-margins for a hinge loss: the positive margin equals the code length (same
-class means identical codes), and the negative margin is placed so that two
-codes from different classes are only penalized while their Hamming distance
-is below the first separation the sphere-packing bound rules out.
+The quantity this module ultimately produces is a ``MarginSet``: the code
+length and the first Hamming distance the sphere-packing bound rules out.
+The hinge loss's inner-product margins follow from those two numbers: the
+positive margin equals the code length (same class means identical codes),
+and the negative margin is placed so that two codes from different classes
+are only penalized while their Hamming distance is below that distance.
 """
 
 from __future__ import annotations
@@ -88,29 +89,22 @@ def bound_holds(problem: BoundProblem, distance: int) -> bool:
 def solve_target_distance(problem: BoundProblem) -> int:
     """Smallest distance the packing bound rules out, clamped to the length.
 
-    Scans d = 1, 2, ... accumulating the sphere volume incrementally; the
-    volume grows only at odd d (where the radius increments), so the first
-    infeasible d, if any, is odd.  The bound always holds at d = 1 for a
-    valid problem, and always fails by d = 2*code_bits + 1, so the scan
-    terminates.  When the unclamped answer exceeds the code length (small
-    codebooks), the result is clamped to ``code_bits``: distances beyond the
-    length are unreachable and the clamp keeps the derived negative margin
-    at or above the minimum attainable inner product.
+    The sphere volume depends on the distance d only through the radius
+    r = (d - 1) // 2, so the bound fails first at an odd d = 2r + 1.  The
+    scan walks r = 0, 1, ..., adding one binomial to the volume per radius,
+    and tests d = 2r + 1; r = 0 always holds for a valid problem.  When no
+    d up to the code length is ruled out (small codebooks), the result is
+    clamped to ``code_bits``: distances beyond the length are unreachable
+    and the clamp keeps the derived negative margin at or above the minimum
+    attainable inner product.
     """
-    bits = problem.code_bits
-    space = 2**bits
-    volume = 1  # radius-0 sphere
-    radius = 0
-    d = 1
-    while problem.num_classes * volume <= space:
-        d += 1
-        if d > bits:
-            return bits
-        new_radius = (d - 1) // 2
-        if new_radius > radius:
-            radius = new_radius
-            volume += math.comb(bits, radius)
-    return d
+    bits, space = problem.code_bits, 2**problem.code_bits
+    volume = 0
+    for radius in range((bits + 1) // 2):  # every d = 2r + 1 <= bits
+        volume += math.comb(bits, radius)
+        if problem.num_classes * volume > space:
+            return 2 * radius + 1
+    return bits
 
 
 @dataclass(frozen=True)
@@ -118,34 +112,30 @@ class MarginSet:
     """Inner-product margins for the pairwise hinge loss.
 
     ``target_distance`` is the separation the loss pushes dissimilar pairs
-    toward; ``positive_margin`` equals the code length; ``negative_margin``
-    is ``code_length - 2 * target_distance``, the inner product two codes
-    have when exactly ``target_distance`` bits apart.
+    toward.  The margins are derived from it: ``positive_margin`` equals the
+    code length, and ``negative_margin`` is the inner product two codes have
+    when exactly ``target_distance`` bits apart, ``code_bits - 2 * d``.
     """
 
+    code_bits: int
     target_distance: int
-    positive_margin: int
-    negative_margin: int
 
     def __post_init__(self) -> None:
-        if self.target_distance < 1:
-            raise ValueError("target_distance must be >= 1")
-        if self.target_distance > self.positive_margin:
-            raise ValueError("target_distance cannot exceed the code length")
-        if self.positive_margin - self.negative_margin != 2 * self.target_distance:
-            raise ValueError(
-                "margins must satisfy positive - negative == 2 * target_distance"
-            )
+        if not 1 <= self.target_distance <= self.code_bits:
+            raise ValueError("target_distance must lie in [1, code_bits]")
+
+    @property
+    def positive_margin(self) -> int:
+        return self.code_bits
+
+    @property
+    def negative_margin(self) -> int:
+        return self.code_bits - 2 * self.target_distance
 
 
 def derive_margins(problem: BoundProblem) -> MarginSet:
     """Margins implied by the packing bound for (code_bits, num_classes)."""
-    target = solve_target_distance(problem)
-    return MarginSet(
-        target_distance=target,
-        positive_margin=problem.code_bits,
-        negative_margin=problem.code_bits - 2 * target,
-    )
+    return MarginSet(problem.code_bits, solve_target_distance(problem))
 
 
 def margins_from_negative(code_bits: int, negative_margin: int) -> MarginSet:
@@ -160,14 +150,9 @@ def margins_from_negative(code_bits: int, negative_margin: int) -> MarginSet:
             f"negative margin {negative_margin} has wrong parity for "
             f"{code_bits}-bit codes (code_bits - margin must be even)"
         )
-    target = (code_bits - negative_margin) // 2
-    if not 1 <= target <= code_bits:
+    if not -code_bits <= negative_margin <= code_bits - 2:
         raise ValueError(
             f"negative margin {negative_margin} is outside [-{code_bits}, "
             f"{code_bits - 2}]"
         )
-    return MarginSet(
-        target_distance=target,
-        positive_margin=code_bits,
-        negative_margin=negative_margin,
-    )
+    return MarginSet(code_bits, (code_bits - negative_margin) // 2)

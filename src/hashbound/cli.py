@@ -201,7 +201,9 @@ def _config_type_error(action: argparse.Action, value) -> str | None:
     if value is None:
         return None if action.default is None else "a value, not null"
     accepted = (int, float) if action.type is float else action.type
-    if isinstance(value, accepted) and not isinstance(value, bool):
+    # an int past the float range is no number either: float() overflows on it
+    huge = action.type is float and isinstance(value, int) and abs(value) > sys.float_info.max
+    if isinstance(value, accepted) and not isinstance(value, bool) and not huge:
         return None
     return {int: "an integer", float: "a number", str: "a string"}[action.type]
 

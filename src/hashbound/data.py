@@ -108,12 +108,11 @@ def generate_synthetic(
             direction = rng.normals(dim)
             norm = float(np.linalg.norm(direction))
         centers[c] = direction / norm * center_scale
-    # One draw per class keeps the stream order of a draw per row, since
+    # One draw for every row keeps the stream order of a draw per row, since
     # normals() carries its spare value across calls.
-    features = np.zeros((num_classes, per_class, dim))
-    for c in range(num_classes):
-        noise = rng.normals(per_class * dim).reshape(per_class, dim)
-        features[c] = centers[c] + noise_sigma * noise
+    features = rng.normals(num_classes * per_class * dim).reshape(num_classes, per_class, dim)
+    features *= noise_sigma
+    features += centers[:, None, :]
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     return FeatureDataset(
         features=features.reshape(-1, dim), labels=labels, num_classes=num_classes

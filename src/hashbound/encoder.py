@@ -57,12 +57,13 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class EncoderParams:
-    """Weights of the D -> H -> L network (also reused for grads/velocity).
+    """Weights of the D -> H -> L network; ``train`` also views its flat
+    gradient buffer through one.
 
     Shape consistency is enforced here; finiteness is checked where values
     enter from outside (checkpoint load) and by the training loop's
     divergence guard, so that a blowing-up run fails as a divergence rather
-    than a validation error on its gradient containers.
+    than a validation error on its gradient views.
     """
 
     hidden_weights: np.ndarray  # (H, D)
@@ -452,7 +453,7 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict[str, Any]]:
             key: np.array(doc[key], dtype=np.float64).reshape(shapes[key])
             for key in _CHECKPOINT_KEYS
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc
     for key, arr in arrays.items():
         if not np.all(np.isfinite(arr)):

@@ -32,6 +32,7 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _MULTIPLIER = 0x2545F4914F6CDD1D
 _LANE = 16  # draws per lane of a bulk draw
 _BLOCK_LANES = 8192  # lanes filled at a time
+_BLOCK_PAIRS = 2048  # normal pairs made at a time
 
 
 def splitmix64(value: int) -> int:
@@ -87,23 +88,23 @@ class Xorshift64Star:
 
         Lane k holds draws 16k+1 .. 16k+16; its start state is the previous
         lane's advanced 16 steps through the jump tables.  Then every lane
-        takes its 16 steps at once (uint64 arithmetic wraps mod 2**64).
+        takes its 16 steps at once (uint64 arithmetic wraps mod 2**64).  The
+        output is allocated first, so a draw too large to hold fails before
+        any lane is filled.
         """
         if n <= 0:
             return np.empty(0, dtype=np.uint64)
+        # lane-major, so the draws are its first n entries, with no copy
+        steps = np.empty(((n - 1) // _LANE + 1, min(n, _LANE)), dtype=np.uint64)
+        lanes = np.empty(len(steps), dtype=np.uint64)
         t0, t1, t2, t3, t4, t5, t6, t7 = _lane_jump_tables()
-        s = self._state
-        starts = [s]
-        for _ in range((n - 1) // _LANE):
+        s = lanes[0] = self._state
+        for k in range(1, len(lanes)):
             s = (t0[s & 255] ^ t1[s >> 8 & 255] ^ t2[s >> 16 & 255]
                  ^ t3[s >> 24 & 255] ^ t4[s >> 32 & 255] ^ t5[s >> 40 & 255]
                  ^ t6[s >> 48 & 255] ^ t7[s >> 56])
-            starts.append(s)
-        lanes = np.array(starts, dtype=np.uint64)
-        del starts
-        # lane-major, so the draws are its first n entries, with no copy; the
-        # lanes step in blocks whose draws (1 MiB) stay in cache
-        steps = np.empty((len(lanes), min(n, _LANE)), dtype=np.uint64)
+            lanes[k] = s
+        # the lanes step in blocks whose draws (1 MiB) stay in cache
         for lo in range(0, len(lanes), _BLOCK_LANES):
             block, state = steps[lo : lo + _BLOCK_LANES], lanes[lo : lo + _BLOCK_LANES]
             for column in block.T:
@@ -120,14 +121,16 @@ class Xorshift64Star:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals, Box-Muller on pairs of uniforms: the cached
-        spare first, and an odd last partner cached for the next draw."""
+        spare first, and an odd last partner cached for the next draw.  The
+        pairs are drawn in blocks, which bounds the Python floats ``math``
+        works on; the stream is that of one draw of all of them."""
         out = np.empty(max(n, 0))
         done = 0
         if n > 0 and self._spare_normal is not None:
             out[0], self._spare_normal = self._spare_normal, None
             done = 1
-        pairs = (n - done + 1) // 2
-        if pairs > 0:
+        while done < n:
+            pairs = min((n - done + 1) // 2, _BLOCK_PAIRS)
             u = self.uniforms(2 * pairs)
             log_u1 = list(map(math.log, (1.0 - u[0::2]).tolist()))
             radius = np.sqrt(-2.0 * np.array(log_u1))
@@ -135,8 +138,10 @@ class Xorshift64Star:
             values = np.empty((pairs, 2))
             values[:, 0] = radius * np.array(list(map(math.cos, angle)))
             values[:, 1] = radius * np.array(list(map(math.sin, angle)))
-            out[done:] = values.ravel()[: n - done]
-            if (n - done) % 2:
+            block = values.ravel()[: n - done]
+            out[done : done + len(block)] = block
+            done += len(block)
+            if len(block) % 2:
                 self._spare_normal = float(values[-1, 1])
         return out
 

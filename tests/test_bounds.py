@@ -2,8 +2,11 @@
 
 The oracle here is a hand-built Pascal triangle: binomials come from the
 additive recurrence only, never from math.comb, so the production path and
-the test path share no code.
+the test path share no code.  ``head_solve_target_distance`` is the earlier
+incremental solver, kept verbatim so the radius scan is pinned to it.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -153,6 +156,35 @@ def test_solver_matches_linear_scan_small():
             assert got == oracle_solve(bits, classes), (bits, classes)
 
 
+def head_solve_target_distance(problem: BoundProblem) -> int:
+    """The incremental solver the radius scan replaced: scans d = 1, 2, ...,
+    growing the volume by one binomial whenever the radius increments."""
+    bits = problem.code_bits
+    space = 2**bits
+    volume = 1  # radius-0 sphere
+    radius = 0
+    d = 1
+    while problem.num_classes * volume <= space:
+        d += 1
+        if d > bits:
+            return bits
+        new_radius = (d - 1) // 2
+        if new_radius > radius:
+            radius = new_radius
+            volume += math.comb(bits, radius)
+    return d
+
+
+def test_radius_scan_matches_the_incremental_solver():
+    for bits in range(1, 129):
+        for classes in sorted({*range(2, 301), 2**bits}):
+            if classes > 2**bits:
+                continue
+            problem = BoundProblem(bits, classes)
+            expected = head_solve_target_distance(problem)
+            assert solve_target_distance(problem) == expected, (bits, classes)
+
+
 def test_solver_monotonicity():
     for bits in (8, 12, 16):
         values = [
@@ -200,12 +232,13 @@ def test_margin_parity_invariant(bits, classes):
 
 
 def test_margin_set_validation():
-    with pytest.raises(ValueError):
-        MarginSet(target_distance=0, positive_margin=12, negative_margin=12)
-    with pytest.raises(ValueError):
-        MarginSet(target_distance=3, positive_margin=12, negative_margin=-6)
-    with pytest.raises(ValueError):
-        MarginSet(target_distance=13, positive_margin=12, negative_margin=-14)
+    for bits, target in ((12, 0), (12, 13), (0, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            MarginSet(bits, target)
+    margins = MarginSet(12, 9)
+    assert (margins.positive_margin, margins.negative_margin) == (12, -6)
+    assert MarginSet(1, 1).negative_margin == -1
+    assert MarginSet(12, 12) == margins_from_negative(12, -12)
 
 
 def test_margins_from_negative():

@@ -377,7 +377,9 @@ def test_eval_corrupted_checkpoint(tmp_path, capsys):
     [1, 2],
     {"input_dim": "a", "hidden_dim": 2, "code_bits": 1, "hidden_weights": [0, 0],
      "hidden_bias": [0, 0], "output_weights": [0, 0], "output_bias": [0]},
-], ids=["list", "string-dim"])
+    {"input_dim": 1, "hidden_dim": 2, "code_bits": 1, "hidden_weights": [0, 0],
+     "hidden_bias": [0, 0], "output_weights": [0, 0], "output_bias": [10**400]},
+], ids=["list", "string-dim", "huge-int"])
 def test_eval_malformed_checkpoint_is_usage_error(tmp_path, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -775,14 +777,25 @@ def test_config_file_unknown_key(tmp_path, capsys):
         ({"bits": "12", "classes": 10}, "bits"),
         ({"bits": 12, "classes": [10]}, "classes"),
         ({"bits": 12, "classes": 10, "command": "train"}, "command"),
+        # ints too large for a float are not numbers (train's float fields)
+        ({"lr": 10**400}, "lr"),
+        ({"center_scale": 10**400}, "center_scale"),
+        ({"noise_sigma": -(10**400)}, "noise_sigma"),
+        ({"quant_weight": 10**400}, "quant_weight"),
     ],
 )
 def test_config_file_wrong_value_type(tmp_path, capsys, values, field):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(values))
-    assert main(["bound", "--config", str(config)]) == 1
+    out_dir = tmp_path / "o"
+    command = ["bound"] if "bits" in values else ["train", "--out-dir", str(out_dir)]
+    assert main([*command, "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert repr(field) in err and "Traceback" not in err
+    assert err.count("\n") == 1
+    if "bits" not in values:
+        assert f"must be a number, got {values[field]!r}" in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -111,6 +111,20 @@ def test_raw_draws_in_blocks_of_lanes_are_next_u64(monkeypatch, block, n):
     assert end_state(bulk) == end_state(scalar)
 
 
+# blocks of 1 and 3 pairs: n = 5, 6 and 7 end inside, on and just past the
+# first 3-pair block; the second draw of an odd n starts with a spare
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 40])
+def test_normals_in_blocks_of_pairs_match_scalar_stream(monkeypatch, block, n):
+    monkeypatch.setattr(prng, "_BLOCK_PAIRS", block)
+    bulk, scalar = Xorshift64Star(99, 5), Xorshift64Star(99, 5)
+    for _ in range(2):
+        got = bulk.normals(n)
+        want = np.array([head_normal(scalar) for _ in range(n)], dtype=np.float64)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert end_state(bulk) == end_state(scalar)
+
+
 def test_normals_spare_crosses_mixed_bulk_calls():
     # odd counts leave a spare for the next normals call; uniforms and
     # permutations in between draw from the stream and leave the spare alone
@@ -163,6 +177,20 @@ def test_permutations_hold_one_copy_of_their_draws():
         tracemalloc.stop()
     assert out.shape == (20000, 60)
     assert peak < 2.5 * out.nbytes
+
+
+def test_a_draw_too_large_to_hold_fails_before_walking_the_lanes(monkeypatch):
+    # the output is allocated first, so a huge draw fails at once instead of
+    # walking (n - 1) // 16 lane starts in Python before allocating anything
+    def unreachable():
+        raise AssertionError("lane starts walked before the output was allocated")
+
+    monkeypatch.setattr(prng, "_lane_jump_tables", unreachable)
+    rng = Xorshift64Star(0)
+    state = end_state(rng)
+    with pytest.raises((MemoryError, ValueError)):
+        rng.uniforms(2**62)
+    assert end_state(rng) == state
 
 
 def test_import_builds_no_jump_tables():
