@@ -8,9 +8,10 @@ W = ceil(L/64), passed together with L.  This is what ``encoder``,
 (``pack_sign_rows``, ``packed_hamming_matrix``, ``codebook_min_distance``)
 take and return.  ``packed_hamming_matrix`` gives its distances as uint8
 for L <= 192 and as uint16 beyond, the narrowest type that holds 64 * W.
-``BinaryCode`` and ``Codebook`` are the scalar edge: bit-level work (flips,
-inner products) and nearest-codeword decoding, which runs on the same
-Hamming kernel.
+``BinaryCode`` and ``Codebook`` are the scalar edge: bit-level work (flips)
+and nearest-codeword decoding.  ``packed_hamming_matrix`` is the one Hamming
+kernel: the scalar distance and inner product, the codebook minimum distance
+and decoding all run on it.
 
 Bit layout
 ----------
@@ -149,10 +150,11 @@ def flip_bits(code: BinaryCode, positions: Sequence[int]) -> BinaryCode:
 
 
 def hamming_distance(a: BinaryCode, b: BinaryCode) -> int:
-    """Number of differing symbols, via per-word XOR popcount."""
+    """Number of differing symbols: ``packed_hamming_matrix`` on the two words."""
     if a.length != b.length:
         raise ValueError(f"code lengths differ: {a.length} vs {b.length}")
-    return sum((wa ^ wb).bit_count() for wa, wb in zip(a.words, b.words))
+    words = Codebook([a, b]).word_matrix()
+    return int(packed_hamming_matrix(words[:1], words[1:])[0, 0])
 
 
 def inner_product(a: BinaryCode, b: BinaryCode) -> int:

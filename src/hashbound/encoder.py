@@ -21,7 +21,13 @@ from typing import Any
 
 import numpy as np
 
-from .bounds import BoundProblem, MarginSet, derive_margins, margins_from_negative
+from .bounds import (
+    MAX_CODE_BITS,
+    BoundProblem,
+    MarginSet,
+    derive_margins,
+    margins_from_negative,
+)
 from .codes import pack_sign_rows
 from .data import DatasetSplits
 from .evaluation import mean_average_precision
@@ -238,6 +244,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.code_bits < 1 or self.hidden_dim < 1:
             raise ValueError("code_bits and hidden_dim must be >= 1")
+        if self.code_bits > MAX_CODE_BITS:
+            raise ValueError(f"code_bits (--bits) must be <= {MAX_CODE_BITS}")
+        if self.hidden_dim > 2**20:
+            raise ValueError(f"hidden_dim (--hidden) must be <= {2**20}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:

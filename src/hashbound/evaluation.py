@@ -13,13 +13,14 @@ queries there are.  A block holds its uint8/uint16 distances, their stable
 argsort (a radix sort for such narrow integers), the gathered labels, bool
 relevance and a zeroed float64 precision matrix: about 30 bytes per pair,
 some 8 MB per block.  The relevant ranks add some 40 bytes per relevant
-pair.  Precision is computed only at those ranks, as the running hit count
-over the position, and written into the zeroed matrix; AP sums each row, so
-each float, its position and the order of the sum are those of the dense
+pair.  One kernel, ``_ranked_ap``, turns a block's relevance into AP: it
+computes precision only at the relevant ranks, as the running hit count
+over the position, and writes it into the zeroed matrix; AP sums each row,
+so each float, its position and the order of the sum are those of the dense
 cumulative form.  Hits within a cutoff (MAP@k's depth, the precision curve)
 are counted by binary search in the relevant ranks' sorted row-major keys.
 Each query's AP is summed within its own row, so the numbers are the same
-for any block size.
+for any block size.  ``average_precision`` is the kernel's one-row case.
 
 Average precision truncated at k divides by the number of relevant items
 retrieved within the top k (not by the total relevant in the database).
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundProblem, solve_target_distance
+from .bounds import MAX_CODE_BITS, BoundProblem, solve_target_distance
 from .codes import (
     check_words,
     codebook_min_distance,
@@ -75,18 +76,36 @@ def average_precision(relevance: Sequence[int] | np.ndarray, k: int | None = Non
     AP = sum_{i<=k} precision(i) * rel(i) / (# relevant within top k), and 0
     when nothing relevant appears within the cutoff.
     """
-    rel = np.asarray(relevance, dtype=np.float64)
+    rel = np.asarray(relevance)
     if rel.ndim != 1 or len(rel) == 0:
         raise ValueError("relevance must be a nonempty 1-d list")
-    if k is not None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        rel = rel[:k]
-    hits = rel.sum()
-    if hits == 0:
-        return 0.0
-    precision = np.cumsum(rel) / np.arange(1, len(rel) + 1)
-    return float((precision * rel).sum() / hits)
+    if not ((rel == 0) | (rel == 1)).all():
+        raise ValueError("relevance values must be 0 or 1")
+    if k is not None and k < 1:
+        raise ValueError("k must be >= 1")
+    return float(_ranked_ap(rel[None, :] == 1, k, [])[1][0])
+
+
+def _ranked_ap(
+    relevance: np.ndarray, k: int | None, cutoffs: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's AP, its AP@k (the AP when k is None) and its hits within
+    each cutoff, from a (rows, n) bool relevance matrix in rank order."""
+    rows, n = relevance.shape
+    r, c = np.nonzero(relevance)  # the relevant ranks, row by row
+    hits = np.bincount(r, minlength=rows)
+    starts = np.cumsum(hits) - hits
+    precision = np.zeros(relevance.shape)
+    precision[r, c] = (np.arange(1, len(r) + 1) - starts[r]) / (c + 1.0)
+    # hits within each limit, the last of which is MAP@k's depth
+    limits = np.array([*cutoffs, n if k is None else min(k, n)])
+    within = np.searchsorted(r * n + c, np.arange(rows)[:, None] * n + limits)
+    within -= starts[:, None]
+    sums = precision.sum(axis=1)
+    sums = np.stack([sums, sums if k is None else precision[:, :k].sum(axis=1)])
+    counts = np.stack([hits, within[:, -1]])
+    ap, ap_at_k = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    return ap, ap_at_k, within[:, :-1]
 
 
 def _check_labels(words: np.ndarray, labels: np.ndarray, what: str = "") -> np.ndarray:
@@ -133,11 +152,6 @@ def _distinct_rows(
     return order[starts], inverse, np.diff(starts, append=len(order))
 
 
-def _ap_rows(precision_sums: np.ndarray, hits: np.ndarray) -> np.ndarray:
-    """Per-row AP: the summed precision at the hits over the hit count (0 if none)."""
-    return np.where(hits > 0, precision_sums / np.maximum(hits, 1), 0.0)
-
-
 @dataclass(frozen=True)
 class EvalReport:
     """Retrieval quality plus codebook diagnostics against the packing bound.
@@ -145,8 +159,9 @@ class EvalReport:
     ``min_interclass_distance`` is measured on the per-class center codes of
     the database; ``target_distance`` is the bound-derived separation for
     the same (code length, class count), and None when the database holds
-    more classes than the 2**L codewords (the bound has no answer then).
-    Both are None when the database holds fewer than two classes.
+    more classes than the 2**L codewords (the bound has no answer then) or L
+    exceeds ``bounds.MAX_CODE_BITS``.  Both are None when the database holds
+    fewer than two classes.
     """
 
     map: float
@@ -189,35 +204,18 @@ def mean_average_precision(
 
     num_queries, db_size = len(query_words), len(database_words)
     cutoffs = _curve_cutoffs(db_size)
-    positions = np.arange(1, db_size + 1, dtype=np.float64)
-    ap = np.empty(len(first))
-    ap_at_k = np.empty(len(first)) if k is not None else None
+    ap, ap_at_k = np.empty(len(first)), np.empty(len(first))
     curve_hits = np.zeros(len(cutoffs), dtype=np.int64)
-    # the last limit is MAP@k's depth
-    limits = np.array(cutoffs + [db_size if k is None else min(k, db_size)])
     block = max(1, _CHUNK_PAIRS // db_size)
     for lo in range(0, len(first), block):
         rows = slice(lo, lo + block)
         dists = packed_hamming_matrix(distinct_words[rows], database_words)
         order = np.argsort(dists, axis=1, kind="stable")
         relevance = database_labels[order] == distinct_labels[rows, None]
-        r, c = np.nonzero(relevance)  # the relevant ranks, row by row
-        hits = np.bincount(r, minlength=len(relevance))
-        starts = np.cumsum(hits) - hits
-        # precision at the relevant ranks (the running hit count over the
-        # position), 0 elsewhere, summed per row
-        precision = np.zeros(relevance.shape)
-        precision[r, c] = (np.arange(1, len(r) + 1) - starts[r]) / positions[c]
-        ap[rows] = _ap_rows(precision.sum(axis=1), hits)
-        # hits within each limit, counted in the sorted row-major keys
-        row_keys = np.arange(len(relevance))[:, None] * db_size
-        within = np.searchsorted(r * db_size + c, row_keys + limits) - starts[:, None]
-        if k is not None:
-            ap_at_k[rows] = _ap_rows(precision[:, :k].sum(axis=1), within[:, -1])
+        ap[rows], ap_at_k[rows], within = _ranked_ap(relevance, k, cutoffs)
         # each distinct row's hits count once per query that holds it
-        curve_hits += (counts[rows, None] * within[:, :-1]).sum(axis=0)
+        curve_hits += (counts[rows, None] * within).sum(axis=0)
     per_query = ap[inverse]
-    per_query_at_k = ap_at_k[inverse] if k is not None else None
 
     curve = [
         (cutoff, hits / (num_queries * cutoff))
@@ -230,12 +228,12 @@ def mean_average_precision(
     num_classes = len(centers)
     if num_classes >= 2:
         min_dist = codebook_min_distance(centers)
-        if num_classes <= 2**length:
+        if (num_classes - 1).bit_length() <= length <= MAX_CODE_BITS:
             target = solve_target_distance(BoundProblem(length, num_classes))
 
     return EvalReport(
         map=float(per_query.mean()),
-        map_at_k=float(per_query_at_k.mean()) if k is not None else None,
+        map_at_k=float(ap_at_k[inverse].mean()) if k is not None else None,
         k=k,
         precision_curve=curve,
         min_interclass_distance=min_dist,

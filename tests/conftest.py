@@ -33,6 +33,12 @@ def benchmark_splits(benchmark_dataset):
     return split_dataset(benchmark_dataset, spec, seed=BENCH_SPLIT_SEED)
 
 
+def oracle_distance(a, b) -> int:
+    """Hamming distance of two ``BinaryCode``s read bit by bit, apart from
+    the packed kernel."""
+    return int(sum(a.bit(i) != b.bit(i) for i in range(a.length)))
+
+
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Vector-level relative error used by all gradient checks."""
     analytic = np.asarray(analytic, dtype=np.float64).ravel()

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hashbound.bounds import (
+    MAX_CODE_BITS,
     BoundProblem,
     MarginSet,
     bound_holds,
@@ -131,6 +132,13 @@ def test_bound_problem_validation():
     with pytest.raises(ValueError):
         BoundProblem(0, 2)
     BoundProblem(3, 8)  # M == 2**L is allowed
+    for bits in (1, 2, 63, 64, 65, 200, MAX_CODE_BITS):
+        BoundProblem(bits, 2**bits)
+        with pytest.raises(ValueError, match="distinct codewords"):
+            BoundProblem(bits, 2**bits + 1)
+    for bits in (MAX_CODE_BITS + 1, 10**30):  # refused before any 2**L
+        with pytest.raises(ValueError, match="--bits"):
+            BoundProblem(bits, 10)
 
 
 # --- target-distance solver -----------------------------------------------

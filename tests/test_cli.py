@@ -44,7 +44,10 @@ def run_train(out_dir, extra=()):
 
 @pytest.mark.parametrize(
     "bits,classes,expected_negative",
-    [(12, 10, -6), (16, 10, -6), (48, 100, -18)],
+    [
+        (12, 10, -6), (16, 10, -6), (48, 100, -18),
+        (4096, 100, -3802),  # the longest --bits, bounds.MAX_CODE_BITS
+    ],
 )
 def test_bound_command_reference_rows(capsys, tmp_path, bits, classes, expected_negative):
     out = tmp_path / "margins.json"
@@ -88,6 +91,35 @@ def test_python_dash_m_runs_the_cli(module):
     bad = run("--bogus")
     assert bad.returncode == 1
     assert "error" in bad.stderr and "Traceback" not in bad.stderr
+
+
+HUGE = str(10**30)
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["bound", "--bits", HUGE, "--classes", "10"], "--bits"),
+        (["bound", "--bits", "100000", "--classes", "10"], "--bits"),
+        (["train", "--bits", HUGE, *FAST_DATA], "--bits"),
+        (["sweep", "--margins=-4", "--bits", HUGE, *FAST_DATA], "--bits"),
+        (["train", "--hidden", HUGE, *FAST_DATA], "--hidden"),
+    ],
+    ids=["bound", "bound-100000", "train", "sweep", "train-hidden"],
+)
+def test_huge_code_length_or_hidden_width_is_a_usage_error(tmp_path, argv, flag):
+    # refused before any 2**L or weight matrix is formed: exit 1 at once
+    out = tmp_path / "out"
+    target = ["--out-dir", str(out)] if argv[0] == "train" else ["--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "hashbound", *argv, *target],
+        capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=30,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and flag in line
+    assert not out.exists()
 
 
 # --- gen-data ----------------------------------------------------------------

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import relative_error
-from hashbound.bounds import BoundProblem, derive_margins, margins_from_negative
+from hashbound.bounds import (
+    MAX_CODE_BITS,
+    BoundProblem,
+    derive_margins,
+    margins_from_negative,
+)
 from hashbound.data import SplitSpec, generate_synthetic, split_dataset
 from hashbound.encoder import (
     _FINITE_LIMIT,
@@ -411,6 +416,13 @@ def test_train_config_rejects_zero_epochs():
             TrainConfig(code_bits=8, learning_rate=bad)
         with pytest.raises(ValueError, match="finite"):
             TrainConfig(code_bits=8, quant_weight=bad)
+    TrainConfig(code_bits=MAX_CODE_BITS, hidden_dim=2**20)
+    for huge in (MAX_CODE_BITS + 1, 10**30):
+        with pytest.raises(ValueError, match="--bits"):
+            TrainConfig(code_bits=huge)
+    for huge in (2**20 + 1, 10**30):
+        with pytest.raises(ValueError, match="--hidden"):
+            TrainConfig(code_bits=8, hidden_dim=huge)
 
 
 def test_train_is_deterministic():

@@ -10,14 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import oracle_distance
 from hashbound import evaluation
-from hashbound.bounds import BoundProblem, bound_holds
+from hashbound.bounds import MAX_CODE_BITS, BoundProblem, bound_holds
 from hashbound.codes import (
     Codebook,
     codebook_min_distance,
     flip_bits,
     from_bits,
-    hamming_distance,
     pack_sign_rows,
 )
 from hashbound.evaluation import (
@@ -176,7 +176,7 @@ def test_rank_matches_sort_oracle():
         codes = [random_code(rng, 6) for _ in range(30)]  # short codes: many ties
         query = random_code(rng, 6)
         expected = sorted(
-            range(30), key=lambda i: (hamming_distance(query, codes[i]), i)
+            range(30), key=lambda i: (oracle_distance(query, codes[i]), i)
         )
         assert ranked_order(query, codes) == expected
 
@@ -221,6 +221,17 @@ def test_average_precision_validation():
         average_precision([])
     with pytest.raises(ValueError):
         average_precision([1, 0], k=0)
+    for bad in ([2, 0], [0.5, 1], [1, np.nan], [-1, 1]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            average_precision(bad)
+
+
+def test_average_precision_takes_bools_and_floats():
+    for relevance, k, expected in AP_CASES:
+        as_bools = [rel == 1 for rel in relevance]
+        assert average_precision(as_bools, k) == pytest.approx(expected, abs=1e-12)
+        for values in (np.array(as_bools), np.array(relevance, dtype=float)):
+            assert average_precision(values, k) == average_precision(relevance, k)
 
 
 # --- MAP reports --------------------------------------------------------------------
@@ -510,7 +521,7 @@ def test_min_interclass_distance_matches_scan():
         labels = rng.integers(0, 4, size=25)
         centers = majority_center_oracle(codes, labels)
         oracle = min(
-            hamming_distance(centers[i], centers[j])
+            oracle_distance(centers[i], centers[j])
             for i in range(len(centers))
             for j in range(i + 1, len(centers))
         )
@@ -547,6 +558,24 @@ def test_more_classes_than_codewords(length):
     assert report.min_interclass_distance == 0
     assert_matches_dense(
         query_words, query_labels, database_words, database_labels, 5, length
+    )
+
+
+def test_no_target_distance_past_the_code_length_limit():
+    # the ranking and the center distance still run; the bound has no answer
+    rng = np.random.default_rng(7)
+    length = MAX_CODE_BITS + 1
+    database_words = random_words(rng, 8, length)
+    database_labels = np.arange(8) % 3
+    report = mean_average_precision(
+        database_words[:3], database_labels[:3], database_words, database_labels,
+        4, length,
+    )
+    assert report.target_distance is None
+    assert report.min_interclass_distance > 0
+    assert_matches_dense(
+        database_words[:3], database_labels[:3], database_words, database_labels,
+        4, length,
     )
 
 
