@@ -224,8 +224,9 @@ def codebook_min_distance(words: np.ndarray) -> int:
     if len(words) < 2:
         raise ValueError("minimum distance needs at least two codes")
     dist = packed_hamming_matrix(words, words)
-    iu = np.triu_indices(len(words), k=1)
-    return int(dist[iu].min())
+    # no distance exceeds its dtype's maximum, so the minimum is over i != j
+    np.fill_diagonal(dist, np.iinfo(dist.dtype).max)
+    return int(dist.min())
 
 
 def nearest_codeword(book: Codebook, query: BinaryCode) -> tuple[int, int]:

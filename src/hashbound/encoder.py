@@ -28,9 +28,9 @@ from .bounds import (
     derive_margins,
     margins_from_negative,
 )
-from .codes import pack_sign_rows
+from . import evaluation
+from .codes import _word_count, pack_sign_rows
 from .data import DatasetSplits
-from .evaluation import mean_average_precision
 from .fileio import write_json
 from .losses import _total
 from .prng import Xorshift64Star
@@ -313,8 +313,11 @@ def train(
     the velocity and the gradients each live in one flat float64 buffer, the
     params' four arrays are views into the first, the gradients are written
     into their views and one momentum update runs over the flat buffers.  The
-    backward pass reuses the forward pass's hidden layer, and the loss kernel
-    runs on the relaxed codes checked finite once.
+    backward pass reuses the forward pass's hidden layer.  Each batch checks
+    one number, its loss total, before its step: a non-finite relaxed code
+    makes the total inf or nan too (an inf times a 0 mask is nan in the
+    hinge, the quantization term is inf, and a quant weight of 0 times inf
+    is nan), so the loss kernel runs on the codes unchecked.
     The returned params are views into a buffer of this call alone.
 
     The epoch shuffles are the rows of one read-only (epochs, n) array drawn
@@ -324,8 +327,15 @@ def train(
 
     The per-epoch record holds the batch-mean loss components, the MAP of
     the validation split queried against the database split, and the minimum
-    pairwise distance among the per-class center codes of the database, both
-    from one ``mean_average_precision`` call on packed word matrices.
+    pairwise distance among the per-class center codes of the database.
+    Every epoch end runs both forward passes and checks them finite, so a
+    divergence raises at its epoch, but ranks nothing there: it keeps the
+    epoch's loss means and packed validation and database words.  The
+    records are ranked after the loop, in batches of at most
+    ``evaluation._CHUNK_PAIRS`` database rows (at least one epoch), each by
+    one ``evaluation.stacked_scores`` call, which gives every epoch the bits
+    of a ``mean_average_precision`` call on that epoch alone.  A run that
+    diverges raises before it ranks its pending epochs.
 
     With ``validate=False`` no epoch is ranked and ``records`` stays empty;
     the params are the same bits.  An epoch end then runs no forward pass
@@ -359,15 +369,35 @@ def train(
     max_abs_feature = max(np.abs(db_features).max(), np.abs(val_features).max())
 
     records: list[EpochRecord] = []
+    # the epochs not ranked yet: their (epoch, loss means) and packed codes,
+    # at most _CHUNK_PAIRS database rows of them (and at least one epoch)
+    pending: list[tuple[int, float, float, float]] = []
+    stack = min(config.epochs, max(1, evaluation._CHUNK_PAIRS // len(db_features)))
+    width = _word_count(config.code_bits)
+    pending_val = np.empty((stack, len(val_features), width), dtype=np.uint64)
+    pending_db = np.empty((stack, len(db_features), width), dtype=np.uint64)
     n = len(splits.train)
     orders = _epoch_orders(config.seed, n, config.epochs)
 
-    def check_finite(value, epoch: int) -> None:
-        if not np.isfinite(value).all():
+    def check_finite(finite: bool, epoch: int) -> None:
+        if not finite:
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}; "
                 "the learning rate is likely too high"
             )
+
+    def rank_pending() -> None:
+        ranked = len(pending)
+        maps, distances = evaluation.stacked_scores(
+            pending_val[:ranked],
+            val_labels,
+            pending_db[:ranked],
+            db_labels,
+            config.code_bits,
+        )
+        for fields, val_map, distance in zip(pending, maps, distances):
+            records.append(EpochRecord(*fields, val_map, distance))
+        pending.clear()
 
     # Hinge overflow during a diverging run shows up as inf/nan; the
     # explicit finiteness checks turn that into a clean error.
@@ -383,9 +413,9 @@ def train(
                 labels = train_labels[rows]
                 hidden = _hidden(params, feats)
                 relaxed = _codes(params, hidden)
-                check_finite(relaxed, epoch)
                 report = _total(relaxed, labels, margins, config.quant_weight, None)
-                check_finite(report.total, epoch)
+                # a non-finite code makes the total inf or nan (see the docstring)
+                check_finite(math.isfinite(report.total), epoch)
                 _gradients(params, feats, hidden, report.code_grads, grad_views)
                 _momentum_step(
                     weights, grads, velocity, config.learning_rate, config.momentum
@@ -397,29 +427,20 @@ def train(
 
             if validate or not _forward_is_finite(params, max_abs_feature):
                 db_relaxed = forward(params, db_features)
-                check_finite(db_relaxed, epoch)
+                check_finite(np.isfinite(db_relaxed).all(), epoch)
                 val_relaxed = forward(params, val_features)
-                check_finite(val_relaxed, epoch)
+                check_finite(np.isfinite(val_relaxed).all(), epoch)
             if not validate:
                 continue
-            report = mean_average_precision(
-                pack_sign_rows(val_relaxed),
-                val_labels,
-                pack_sign_rows(db_relaxed),
-                db_labels,
-                None,
-                config.code_bits,
+            pending_val[len(pending)] = pack_sign_rows(val_relaxed)
+            pending_db[len(pending)] = pack_sign_rows(db_relaxed)
+            pending.append(
+                (epoch, sum_pair / batches, sum_quan / batches, sum_total / batches)
             )
-            records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    pairwise=sum_pair / batches,
-                    quantization=sum_quan / batches,
-                    total=sum_total / batches,
-                    val_map=report.map,
-                    min_center_distance=report.min_interclass_distance,
-                )
-            )
+            if len(pending) == stack:
+                rank_pending()
+    if pending:
+        rank_pending()
     return params, TrainHistory(records=records, margins=margins)
 
 

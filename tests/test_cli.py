@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hashbound.encoder as encoder_module
-from hashbound import cli
+from hashbound import cli, evaluation
 from hashbound.cli import main
 from hashbound.data import SplitSpec, generate_synthetic, load_csv, split_dataset
 from hashbound.encoder import TrainConfig, init_params, save_checkpoint
@@ -573,7 +573,7 @@ def test_sweep_multi_seed_rows(tmp_path):
 
 
 def test_sweep_point_ranks_only_its_final_evaluation(monkeypatch):
-    calls = {"mean_average_precision": 0, "pack_sign_rows": 0}
+    calls = {"mean_average_precision": 0, "stacked_scores": 0, "pack_sign_rows": 0}
 
     def spy_on(module, name):
         real = getattr(module, name)
@@ -584,15 +584,15 @@ def test_sweep_point_ranks_only_its_final_evaluation(monkeypatch):
 
         monkeypatch.setattr(module, name, spy)
 
-    for module in (cli, encoder_module):
-        spy_on(module, "mean_average_precision")
+    spy_on(cli, "mean_average_precision")
+    spy_on(evaluation, "stacked_scores")
     spy_on(encoder_module, "pack_sign_rows")
     dataset = generate_synthetic(num_classes=4, per_class=30, dim=8, seed=0)
     splits = split_dataset(dataset, SplitSpec(4, 15, 4), seed=0)
     result = cli._sweep_point(splits, TrainConfig(code_bits=8, epochs=3, batch_size=16))
     assert isinstance(result, float)
     # one ranking of the query codes against the database codes, packed once each
-    assert calls == {"mean_average_precision": 1, "pack_sign_rows": 2}
+    assert calls == {"mean_average_precision": 1, "stacked_scores": 0, "pack_sign_rows": 2}
 
 
 @pytest.mark.parametrize(

@@ -242,6 +242,22 @@ def test_codebook_min_distance_examples():
         codebook_min_distance(Codebook([a, b]).word_matrix().astype(np.int64))
 
 
+@pytest.mark.parametrize("length", [1, 12, 64, 65, 200])
+def test_codebook_min_distance_skips_only_the_diagonal(length):
+    # 200 bits give uint16 distances; the antipodal pair is the largest, L
+    rng = np.random.default_rng(length)
+    codes = [random_code(rng, length) for _ in range(6)]
+    words = Codebook(codes).word_matrix()
+    assert packed_hamming_matrix(words, words).dtype == (np.uint16 if length > 192 else np.uint8)
+    assert codebook_min_distance(words) == min(
+        oracle_distance(a, b) for i, a in enumerate(codes) for b in codes[i + 1 :]
+    )
+    assert codebook_min_distance(words[:2]) == oracle_distance(codes[0], codes[1])
+    assert codebook_min_distance(words[[0, 1, 0]]) == 0
+    antipodal = Codebook([codes[0], flip_bits(codes[0], range(length))]).word_matrix()
+    assert codebook_min_distance(antipodal) == length
+
+
 def test_codebook_min_distance_matches_pair_scan():
     rng = np.random.default_rng(7)
     for _ in range(30):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from hashbound.encoder import (
     train,
     training_margins,
 )
+from hashbound import evaluation
 from hashbound.codes import Codebook, from_signs, pack_sign_rows
 from hashbound.evaluation import mean_average_precision
 from hashbound.losses import ClassCenters, _total, total_loss
@@ -586,6 +588,123 @@ def test_train_diverges_at_the_reference_loop_epoch(learning_rate, epoch):
     assert f"at epoch {epoch};" in str(got.value)
 
 
+@pytest.mark.parametrize(
+    "learning_rate,quant_weight,epoch,codes_finite",
+    [
+        (1e12, 0.0, 1, True),
+        (1e3, 0.0, 2, True),
+        (sys.float_info.max, 0.0, 1, False),
+        (sys.float_info.max, 0.002, 1, False),
+    ],
+    ids=["lr-1e12", "lr-1e3", "inf-codes", "inf-codes-quantized"],
+)
+def test_train_checks_only_the_batch_total(
+    monkeypatch, learning_rate, quant_weight, epoch, codes_finite
+):
+    # reference_train checks the relaxed codes before the loss and the total
+    # after it; train checks the total alone.  A non-finite code still makes
+    # the total non-finite (an inf times a 0 mask is nan in the hinge, the
+    # quantization term is inf, and a quant weight of 0 times inf is nan), so
+    # both raise at the same epoch with the same message.
+    import hashbound.encoder as encoder_module
+
+    splits = small_splits()
+    config = TrainConfig(code_bits=8, epochs=5, batch_size=16,
+                         learning_rate=learning_rate, quant_weight=quant_weight)
+    with pytest.raises(TrainingDivergedError) as want:
+        reference_train(splits, config)
+    finite = []
+
+    def spy(codes, *args):
+        finite.append(bool(np.isfinite(codes).all()))
+        return _total(codes, *args)
+
+    monkeypatch.setattr(encoder_module, "_total", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrainingDivergedError) as got:
+            train(splits, config)
+    assert str(got.value) == str(want.value)
+    assert f"at epoch {epoch};" in str(got.value)
+    # the raising batch's codes: finite ones that overflow the loss, or the
+    # inf/nan codes of weights that an earlier step overflowed
+    assert finite[-1] is codes_finite
+
+
+@pytest.mark.parametrize("quant_weight", [0.0, 0.002])
+def test_a_non_finite_code_makes_the_loss_total_non_finite(quant_weight):
+    # what train's one check per batch rests on, with the pairwise term
+    # finite or not: one inf or nan code among finite ones, in batches of
+    # one class (no dissimilar pair) and of two
+    margins = derive_margins(BoundProblem(8, 4))
+    rng = np.random.default_rng(0)
+    seen_finite_pairwise = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad in (np.inf, -np.inf, np.nan):
+            for labels in (np.zeros(6, dtype=int), np.arange(6) % 2):
+                for _ in range(20):
+                    codes = rng.normal(size=(6, 8))
+                    codes[rng.integers(6), rng.integers(8)] = bad
+                    report = _total(codes, labels, margins, quant_weight, None)
+                    seen_finite_pairwise |= math.isfinite(report.pairwise)
+                    assert not math.isfinite(report.total)
+    assert seen_finite_pairwise
+
+
+@pytest.mark.parametrize("every", [1, 3])
+def test_train_ranks_pending_epochs_in_batches(monkeypatch, every):
+    splits = small_splits(seed=2)
+    config = TrainConfig(code_bits=8, epochs=7, batch_size=16, seed=5)
+    monkeypatch.setattr(evaluation, "_CHUNK_PAIRS", every * len(splits.database))
+    stacks = []
+    real = evaluation.stacked_scores
+
+    def spy(query_words, *args):
+        stacks.append(len(query_words))
+        return real(query_words, *args)
+
+    monkeypatch.setattr(evaluation, "stacked_scores", spy)
+    params, history = train(splits, config)
+    assert stacks == ([1] * 7 if every == 1 else [3, 3, 1])
+    want_params, want_records = reference_train(splits, config)
+    for f in dataclasses.fields(EncoderParams):
+        assert bits_equal(getattr(params, f.name), getattr(want_params, f.name)), f.name
+    assert history.records == want_records
+
+
+def test_train_ranks_all_epochs_after_the_loop(monkeypatch):
+    splits = small_splits(seed=2)
+    config = TrainConfig(code_bits=8, epochs=7, batch_size=16, seed=5)
+    stacks = []
+    real = evaluation.stacked_scores
+
+    def spy(query_words, *args):
+        stacks.append(len(query_words))
+        return real(query_words, *args)
+
+    monkeypatch.setattr(evaluation, "stacked_scores", spy)
+    _, history = train(splits, config)
+    assert stacks == [7]
+    assert [r.epoch for r in history.records] == list(range(1, 8))
+
+
+def test_divergence_after_pending_epochs_ranks_nothing(monkeypatch):
+    # lr 1e3 diverges at epoch 2, with epoch 1 pending
+    splits = small_splits()
+    config = TrainConfig(code_bits=8, epochs=5, batch_size=16, learning_rate=1e3)
+    with pytest.raises(TrainingDivergedError) as want:
+        reference_train(splits, config)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a diverging run ranked its pending epochs")
+
+    monkeypatch.setattr(evaluation, "stacked_scores", forbidden)
+    with pytest.raises(TrainingDivergedError) as got:
+        train(splits, config)
+    assert str(got.value) == str(want.value)
+    assert "at epoch 2;" in str(got.value)
+
+
 @pytest.mark.parametrize("overrides", [{}], ids=["pairwise"])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_train_without_validation_gives_the_same_params(overrides, seed):
@@ -606,7 +725,8 @@ def test_train_without_validation_ranks_nothing(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("called by train(validate=False)")
 
-    monkeypatch.setattr(encoder_module, "mean_average_precision", forbidden)
+    monkeypatch.setattr(evaluation, "stacked_scores", forbidden)
+    monkeypatch.setattr(evaluation, "mean_average_precision", forbidden)
     monkeypatch.setattr(encoder_module, "pack_sign_rows", forbidden)
     train(small_splits(), TrainConfig(code_bits=8, epochs=2, batch_size=16),
           validate=False)

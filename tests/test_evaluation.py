@@ -25,6 +25,7 @@ from hashbound.evaluation import (
     average_precision,
     class_center_codes,
     mean_average_precision,
+    stacked_scores,
 )
 
 
@@ -427,6 +428,107 @@ def test_duplicate_queries_are_ranked_once(monkeypatch, chunk, length):
         )
         assert sum(ranked) == len(distinct)
         assert max(ranked) <= min(chunk, len(distinct))
+
+
+def stacked_inputs(rng, groups, length):
+    """G groups of queries and databases that share two label vectors.
+
+    Codes come from a pool of four, so distances tie heavily; group 0's
+    queries are all one code, and the last group repeats the codes of the
+    one before it.  Half the databases are small enough that a 7-pair block
+    holds several distinct rows, so blocks cut across group boundaries.
+    """
+    n = int(rng.integers(1, 12))
+    n_db = int(rng.integers(1, 8) if rng.random() < 0.5 else rng.integers(8, 40))
+    pool = random_words(rng, 4, length)
+    query_words = pool[rng.integers(0, 4, size=(groups, n))]
+    database_words = pool[rng.integers(0, 4, size=(groups, n_db))]
+    query_words[0] = query_words[0, 0]
+    if groups > 1:
+        query_words[-1], database_words[-1] = query_words[-2], database_words[-2]
+    label_values = np.array([11, -4, 3, 8, 0])
+    query_labels = rng.choice(label_values, size=n)
+    database_labels = rng.choice(label_values[: int(rng.integers(1, 6))], size=n_db)
+    return query_words, query_labels, database_words, database_labels
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("length", [1, 3, 12, 64, 65, 200])
+@pytest.mark.parametrize("groups", [1, 2, 7])
+def test_stacked_scan_matches_per_group_calls(monkeypatch, chunk, length, groups):
+    # every number of a group equals that of a mean_average_precision call
+    # on the group alone, compared with ==
+    monkeypatch.setattr(evaluation, "_CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng([length, chunk, groups])
+    for _ in range(4):
+        stack = stacked_inputs(rng, groups, length)
+        query_words, query_labels, database_words, database_labels = stack
+        n, n_db = query_words.shape[1], database_words.shape[1]
+        reports = {
+            k: [
+                mean_average_precision(query_words[g], query_labels, database_words[g],
+                                       database_labels, k, length)
+                for g in range(groups)
+            ]
+            for k in (None, 1, n_db + 5)
+        }
+        cutoffs = _curve_cutoffs(n_db)
+        for k, want in reports.items():
+            inverse, counts, ap, ap_at_k, within = evaluation._rank(*stack, k, cutoffs)
+            assert np.array_equal(np.bincount(inverse.ravel()), counts)
+            for g, report in enumerate(want):
+                assert ap[inverse[g]].tolist() == report.per_query_ap
+                if k is not None:
+                    assert float(ap_at_k[inverse[g]].mean()) == report.map_at_k
+                hits = within[inverse[g]].sum(axis=0).tolist()
+                curve = [(c, h / (n * c)) for c, h in zip(cutoffs, hits)]
+                assert curve == report.precision_curve
+        maps, distances = stacked_scores(*stack, length)
+        assert maps == [report.map for report in reports[None]]
+        assert distances == [report.min_interclass_distance for report in reports[None]]
+
+
+def test_stacked_scores_rank_each_distinct_row_once(monkeypatch):
+    # two identical groups rank their shared codes once per group
+    rng = np.random.default_rng(3)
+    database_words = random_words(rng, 20, 12)[None].repeat(2, axis=0)
+    query_words = random_words(rng, 2, 12)[rng.integers(0, 2, size=(2, 10))]
+    query_words[1] = query_words[0]
+    labels = np.zeros(10, dtype=int)
+    ranked = []
+    real_matrix = evaluation.packed_hamming_matrix
+
+    def spy(query_words, database_words):
+        ranked.append(len(query_words))
+        return real_matrix(query_words, database_words)
+
+    monkeypatch.setattr(evaluation, "packed_hamming_matrix", spy)
+    stacked_scores(query_words, labels, database_words, rng.integers(0, 2, size=20), 12)
+    assert sum(ranked) == 2 * len({tuple(w) for w in query_words[0].tolist()})
+
+
+def test_stacked_scores_validation():
+    words = random_words(np.random.default_rng(0), 4, 8)
+    stack, labels = words[None], np.arange(4)
+    # one class per row: each query finds its own row first, and the centers
+    # are the rows themselves
+    assert stacked_scores(stack, labels, stack, labels, 8) == (
+        [1.0], [codebook_min_distance(words)]
+    )
+    with pytest.raises(ValueError, match="stacks"):
+        stacked_scores(words, labels, words, labels, 8)
+    with pytest.raises(ValueError, match="stacks"):
+        stacked_scores(stack, labels, stack.repeat(2, axis=0), labels, 8)
+    with pytest.raises(ValueError, match="stacks"):
+        stacked_scores(stack[:0], labels, stack[:0], labels, 8)
+    with pytest.raises(ValueError, match="words per row"):
+        stacked_scores(stack, labels, stack, labels, 65)
+    with pytest.raises(ValueError, match="database labels"):
+        stacked_scores(stack, labels, stack, labels[:3], 8)
+    with pytest.raises(ValueError, match="nonempty"):
+        stacked_scores(stack[:, :0], labels[:0], stack, labels, 8)
+    # one database class: no center distance
+    assert stacked_scores(stack, labels, stack, np.zeros(4), 8)[1] == [None]
 
 
 def map_peak_bytes(database_words, database_labels, num_queries):
