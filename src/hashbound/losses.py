@@ -14,7 +14,10 @@ each code against its own class's center (similar) and every other
 initialized center (dissimilar), with the centers held constant.  The
 quantization term sum_n ||sgn(u_n) - u_n||**2 penalizes distance to the
 binarization; its gradient treats sgn(u_n) as a constant.  All values and
-gradients are accumulated in float64.
+gradients are accumulated in float64.  The training kernel (``_total`` on
+the pairwise loss) also runs on an (S, n, L) stack, the batches of S sweep
+points that share their rows and labels: one BLAS call and one reduction
+per point, so each point gets the bits of its own call.
 
 A negative margin of exactly 0 would zero a denominator; that case keeps the
 hinge location and substitutes a unit denominator.  The CLI logs a warning
@@ -56,22 +59,34 @@ def _as_batch_labels(
     return labels
 
 
+def _point_sums(values: np.ndarray):
+    """Sum over the last two axes: a float for one (n, L) batch, and an
+    (S, 1, 1) array for a stack of S, each slice summed as one batch is."""
+    if values.ndim == 2:
+        return float(values.sum())
+    return values.sum(axis=(-2, -1), keepdims=True)
+
+
 def _hinge(
     theta: np.ndarray, similar: np.ndarray, dissimilar: np.ndarray, margins
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Both margin hinge terms over the masked entries of ``theta``.
 
     Similar entries pay min(0, theta - positive_margin)**2, dissimilar ones
     max(0, theta - negative_margin)**2.  Each kind is divided by its entry
     count times its squared margin (a unit denominator for a margin of 0);
     a kind with no entries contributes 0.  Returns ``(value, dtheta)``.
+
+    ``theta`` may carry a leading axis of S points that share the (n, n)
+    masks; each point's margins are then scalars or (S, 1, 1) arrays, and
+    its value one entry of an (S, 1, 1) array (see ``_point_sums``).
     """
     loss = 0.0
     dtheta = np.zeros_like(theta)
     hinge = np.empty_like(theta)  # scratch, reused by both kinds
     for mask, margin, clip in (
-        (similar, float(margins.positive_margin), np.minimum),
-        (dissimilar, float(margins.negative_margin), np.maximum),
+        (similar, margins.positive_margin, np.minimum),
+        (dissimilar, margins.negative_margin, np.maximum),
     ):
         count = int(np.count_nonzero(mask))
         if not count:
@@ -79,8 +94,9 @@ def _hinge(
         np.subtract(theta, margin, out=hinge)
         clip(0.0, hinge, out=hinge)  # 0.0 first keeps the sign of zero entries
         hinge *= mask
-        scale = count * (margin**2 if margin != 0 else 1.0)
-        loss += float(np.square(hinge).sum()) / scale
+        # the bool adds 1 to a margin of 0 (a unit denominator) and 0 elsewhere
+        scale = count * (margin * margin + (margin == 0))
+        loss += _point_sums(np.square(hinge)) / scale
         hinge *= 2.0
         hinge /= scale
         dtheta += hinge
@@ -97,32 +113,38 @@ def _upper_pairs(n: int) -> np.ndarray:
 
 def _pairwise(
     codes: np.ndarray, labels: np.ndarray, margins
-) -> tuple[float, np.ndarray]:
-    upper = _upper_pairs(codes.shape[0])
+) -> tuple[float | np.ndarray, np.ndarray]:
+    upper = _upper_pairs(codes.shape[-2])
     same = labels[:, None] == labels[None, :]
-    loss, dtheta = _hinge(codes @ codes.T, upper & same, upper > same, margins)
-    dtheta += dtheta.T.copy()  # faster than numpy buffering the overlap of dtheta.T
+    theta = codes @ codes.swapaxes(-1, -2)
+    loss, dtheta = _hinge(theta, upper & same, upper > same, margins)
+    # faster than numpy buffering the overlap of the transposed dtheta
+    dtheta += dtheta.swapaxes(-1, -2).copy()
     return loss, dtheta @ codes
 
 
-def _quantization(codes: np.ndarray) -> tuple[float, np.ndarray]:
+def _quantization(codes: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     diff = codes - np.where(codes >= 0.0, 1.0, -1.0)
-    value = float(np.square(diff).sum())
+    value = _point_sums(np.square(diff))
     diff *= 2.0
     return value, diff
 
 
 @dataclass(frozen=True)
 class LossReport:
-    """One evaluation of the combined objective."""
+    """One evaluation of the combined objective.
 
-    pairwise: float
-    quantization: float
+    For a stack of S points (see ``_total``) each number is an (S, 1, 1)
+    array, one entry per point; the quant weight may also be one scalar.
+    """
+
+    pairwise: float | np.ndarray
+    quantization: float | np.ndarray
     code_grads: np.ndarray
-    quant_weight: float
+    quant_weight: float | np.ndarray
 
     @property
-    def total(self) -> float:
+    def total(self) -> float | np.ndarray:
         """``pairwise + quant_weight * quantization``, derived so it cannot disagree."""
         return self.pairwise + self.quant_weight * self.quantization
 
@@ -165,10 +187,15 @@ def _total(
     codes: np.ndarray,
     labels: np.ndarray,
     margins,
-    quant_weight: float,
+    quant_weight: float | np.ndarray,
     centers: ClassCenters | None,
 ) -> LossReport:
-    """``total_loss`` on codes and labels already checked; the training step's kernel."""
+    """``total_loss`` on codes and labels already checked; the training step's kernel.
+
+    The pairwise loss also takes an (S, n, L) stack of batches that share
+    their labels, with each point's margins and quant weight as scalars or
+    (S, 1, 1) arrays; every point gets the bits of its own (n, L) call.
+    """
     if centers is None:
         pair_value, code_grads = _pairwise(codes, labels, margins)
     else:

@@ -258,8 +258,8 @@ def test_train_divergence_is_runtime_failure(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def train_forbidden(splits, config, **kwargs):
-    raise AssertionError("train() was called")
+def train_forbidden(*args, **kwargs):
+    raise AssertionError("train() or train_points() was called")
 
 
 def data_forbidden(*args, **kwargs):
@@ -298,6 +298,7 @@ def test_empty_query_split_is_refused_before_training(tmp_path, monkeypatch, cap
                                                       command):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "train", train_forbidden)
+    monkeypatch.setattr(cli, "train_points", train_forbidden)
     assert main([command, *OUTPUTS[command], *FAST_TRAIN, "--query-per-class", "0"]) == 1
     assert list(tmp_path.iterdir()) == []
     assert capfd.readouterr() == (
@@ -310,11 +311,12 @@ def test_empty_query_split_is_refused_before_training(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("command", OUTPUTS)
 def test_out_of_memory_is_a_runtime_failure(tmp_path, monkeypatch, capfd, command,
                                             message):
-    def out_of_memory(splits, config, **kwargs):
+    def out_of_memory(*args, **kwargs):
         raise MemoryError(message)
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "train", out_of_memory)
+    monkeypatch.setattr(cli, "train_points", out_of_memory)
     assert main([command, *OUTPUTS[command], *FAST_TRAIN]) == 2
     assert capfd.readouterr() == ("", f"error: {message or 'MemoryError'}\n")
     assert list(tmp_path.iterdir()) == []
@@ -589,10 +591,14 @@ def test_sweep_point_ranks_only_its_final_evaluation(monkeypatch):
     spy_on(encoder_module, "pack_sign_rows")
     dataset = generate_synthetic(num_classes=4, per_class=30, dim=8, seed=0)
     splits = split_dataset(dataset, SplitSpec(4, 15, 4), seed=0)
-    result = cli._sweep_point(splits, TrainConfig(code_bits=8, epochs=3, batch_size=16))
-    assert isinstance(result, float)
-    # one ranking of the query codes against the database codes, packed once each
-    assert calls == {"mean_average_precision": 1, "stacked_scores": 0, "pack_sign_rows": 2}
+    configs = [TrainConfig(code_bits=8, epochs=3, batch_size=16, margin_override=m)
+               for m in (-8, -6)]
+    orders = encoder_module._epoch_orders(0, len(splits.train), 3)
+    results = cli._sweep_stack(splits, configs, orders)
+    assert [type(result) for result in results] == [float, float]
+    # per point, one ranking of the query codes against the database codes,
+    # packed once each
+    assert calls == {"mean_average_precision": 2, "stacked_scores": 0, "pack_sign_rows": 4}
 
 
 @pytest.mark.parametrize(
@@ -621,15 +627,15 @@ def run_sweep(capfd, out, argv):
     return code, out.read_bytes() if out.exists() else None, captured.out, captured.err
 
 
-def train_in_this_process(splits, config):
-    """Stands in for ``cli._sweep_point``: the id of the process that trains the point."""
-    return float(os.getpid())
+def train_in_this_process(splits, configs, orders):
+    """Stands in for ``cli._sweep_stack``: the id of the process that trains each point."""
+    return [float(os.getpid())] * len(configs)
 
 
 def test_sweep_trains_every_point_in_process(tmp_path, monkeypatch, capfd):
-    # more CPUs than points: the points still train here, one after another
+    # more CPUs than points: the points still train here, in this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(cli, "_sweep_point", train_in_this_process)
+    monkeypatch.setattr(cli, "_sweep_stack", train_in_this_process)
     code, table, out, err = run_sweep(capfd, tmp_path / "s.csv",
                                       ["--margins=-8,-6,-4", *FAST_TRAIN])
     assert (code, err) == (0, "")
@@ -644,7 +650,6 @@ def test_sweep_trains_every_point_in_process(tmp_path, monkeypatch, capfd):
 
 
 def test_sweep_draws_each_seeds_shuffles_once(tmp_path, monkeypatch, capfd):
-    encoder_module._epoch_orders.cache_clear()
     draws = []
     real = Xorshift64Star.permutations
 
@@ -661,13 +666,105 @@ def test_sweep_draws_each_seeds_shuffles_once(tmp_path, monkeypatch, capfd):
     assert [draw for draw in draws if draw[1] != 1] == [(4 * 15, 3)] * 2
 
 
+def spy_on_stacks(monkeypatch, capfd, calls):
+    """Record each ``train_points`` call as (seed, points, stdout lines printed
+    before it); returns the stdout and stderr that the spy took from ``capfd``."""
+    real = cli.train_points
+    taken = {"out": "", "err": ""}
+
+    def spy(splits, configs, orders):
+        captured = capfd.readouterr()
+        taken["out"] += captured.out
+        taken["err"] += captured.err
+        calls.append((configs[0].seed, len(configs), len(taken["out"].splitlines())))
+        return real(splits, configs, orders)
+
+    monkeypatch.setattr(cli, "train_points", spy)
+    return taken
+
+
+@pytest.mark.parametrize(
+    "stack_pairs,sizes",
+    [
+        (16**2, [1] * 5),  # one point per stack: each point trained alone
+        (2 * 16**2, [2, 2, 1]),  # the last stack smaller than the rest
+        (4 * 16**2, [3, 2]),
+        (2**14, [5]),  # 64 points at batch 16
+    ],
+    ids=["stacks-of-1", "2-2-1", "3-2", "one-stack"],
+)
+@pytest.mark.parametrize("lr", ["0.01", "0.2"], ids=["trains", "three-diverge"])
+def test_sweep_stacks_each_seeds_points(tmp_path, monkeypatch, capfd, stack_pairs, sizes,
+                                        lr):
+    # 5 margins x seeds 0 and 1, at batch 16: each seed's points split into
+    # the fewest stacks of at most _STACK_PAIRS // 16**2, of near-equal sizes.
+    # Every stacking gives the bytes of the one-point stacks, so of points
+    # trained alone; at lr 0.2 points diverge mid-stack.
+    argv = ["--margins=-8,-6,-4,-2,0", "--seeds", "0,1", *FAST_TRAIN, "--lr", lr]
+    monkeypatch.setattr(cli, "_STACK_PAIRS", 16**2)
+    alone = run_sweep(capfd, tmp_path / "alone.csv", argv)
+    monkeypatch.setattr(cli, "_STACK_PAIRS", stack_pairs)
+    calls = []
+    taken = spy_on_stacks(monkeypatch, capfd, calls)
+    code, table, out, err = run_sweep(capfd, tmp_path / "stacked.csv", argv)
+    assert [(seed, size) for seed, size, _ in calls] == [
+        (seed, size) for seed in (0, 1) for size in sizes
+    ]
+    assert (code, table, taken["out"] + out, taken["err"] + err) == alone
+    assert code == (0 if lr == "0.01" else 2)
+    # the rows, and the printed lines, in value-major order
+    rows = [line.split(",")[:3] for line in table.decode().splitlines()[1:]]
+    assert rows == [["negative_margin", str(v), str(s)] for v in (-8, -6, -4, -2, 0)
+                    for s in (0, 1)]
+
+
+def test_sweep_prints_a_stacks_lines_once_every_earlier_point_is_done(
+    tmp_path, monkeypatch, capfd
+):
+    # points (-8, 0), (-8, 1), (-6, 0), (-6, 1), (-4, 0), (-4, 1): seed 0's
+    # stack ends with only the first point printable, seed 1's with all
+    calls = []
+    taken = spy_on_stacks(monkeypatch, capfd, calls)
+    code, _, out, err = run_sweep(capfd, tmp_path / "s.csv",
+                                  ["--margins=-8,-6,-4", "--seeds", "0,1", *FAST_TRAIN])
+    assert (code, taken["err"] + err) == (0, "")
+    assert [(seed, before) for seed, _, before in calls] == [(0, 0), (1, 1)]
+    assert [line.split(":")[0] for line in (taken["out"] + out).splitlines()] == [
+        f"negative_margin={v} seed={s}" for v in (-8, -6, -4) for s in (0, 1)
+    ]
+
+
+@pytest.mark.parametrize("batch_size", [64, 256])
+def test_sweep_stack_memory_stays_bounded(tmp_path, monkeypatch, capfd, batch_size):
+    # 9 points at the desk size: at batch 64 they train as three stacks of
+    # 3, whose peak stays within 1.5x a one-point sweep's; from batch 79 on a
+    # stack holds one point
+    import tracemalloc
+
+    argv = ["--classes", "10", "--per-class", "100", "--dim", "32", "--bits", "12",
+            "--epochs", "2", "--batch-size", str(batch_size)]
+    calls = []
+    spy_on_stacks(monkeypatch, capfd, calls)
+    peaks = []
+    for margins in ("-6", "-6", "-12,-10,-8,-6,-4,-2,0,2,4"):  # the first one warms up
+        calls.clear()
+        tracemalloc.start()
+        try:
+            assert run_sweep(capfd, tmp_path / "s.csv", [f"--margins={margins}", *argv])[0] == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert [size for _, size, _ in calls] == ([3, 3, 3] if batch_size == 64 else [1] * 9)
+    if batch_size == 64:
+        assert peaks[2] <= 1.5 * peaks[1], peaks
+
+
 def test_sweep_point_diverging_in_its_first_epoch(tmp_path, capfd):
-    encoder_module._epoch_orders.cache_clear()
     argv = ["--margins=-8,-6", "--seeds", "0,3", *FAST_TRAIN, "--lr", "1e6"]
-    cold = run_sweep(capfd, tmp_path / "cold.csv", argv)
-    warm = run_sweep(capfd, tmp_path / "warm.csv", argv)  # the shuffles are cached
-    assert cold == warm
-    code, table, out, err = cold
+    first = run_sweep(capfd, tmp_path / "first.csv", argv)
+    again = run_sweep(capfd, tmp_path / "again.csv", argv)
+    assert first == again
+    code, table, out, err = first
     points = [(margin, seed) for margin in (-8, -6) for seed in (0, 3)]
     assert (code, out) == (2, "")
     assert err.splitlines() == [
@@ -706,6 +803,7 @@ def test_class_center_training_options_are_usage_errors(tmp_path, monkeypatch, c
     # the class-center training mode and its center momentum are gone
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "train", train_forbidden)
+    monkeypatch.setattr(cli, "train_points", train_forbidden)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"classwise": True}))
     assert main([*argv, *FAST_TRAIN]) == 1
@@ -733,13 +831,13 @@ def test_sigterm_ends_the_sweep_and_its_workers(tmp_path):
         proc.wait()
 
 
-def raise_value_error(splits, config):
-    """Stands in for ``cli._sweep_point``: the point fails with a ValueError."""
-    raise ValueError(f"no point at seed {config.seed}")
+def raise_value_error(splits, configs, orders):
+    """Stands in for ``cli._sweep_stack``: the stack fails with a ValueError."""
+    raise ValueError(f"no point at seed {configs[0].seed}")
 
 
 def test_sweep_value_error_raised_by_a_point(tmp_path, monkeypatch, capfd):
-    monkeypatch.setattr(cli, "_sweep_point", raise_value_error)
+    monkeypatch.setattr(cli, "_sweep_stack", raise_value_error)
     result = run_sweep(capfd, tmp_path / "s.csv", ["--margins=-8,-6", *FAST_TRAIN])
     assert result == (1, None, "", "error: no point at seed 0\n")
 

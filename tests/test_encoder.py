@@ -38,6 +38,7 @@ from hashbound.encoder import (
     load_checkpoint,
     save_checkpoint,
     train,
+    train_points,
     training_margins,
 )
 from hashbound import evaluation
@@ -857,7 +858,6 @@ def test_epoch_orders_are_the_shuffle_stream_read_only():
     assert not orders.flags.writeable
     with pytest.raises(ValueError):
         orders[0, 0] = 1
-    assert _epoch_orders(11, 37, 5) is orders
 
 
 def test_train_shares_no_buffer_between_calls():
@@ -865,8 +865,8 @@ def test_train_shares_no_buffer_between_calls():
     config = TrainConfig(code_bits=8, epochs=3, batch_size=16, seed=2)
     first, _ = train(splits, config, validate=False)
     kept = [a.copy() for a in _arrays(first)]
-    # a second call, on the same seed's cached shuffles, leaves the first
-    # call's params as they were
+    # a second call, on the same seed's shuffles, leaves the first call's
+    # params as they were
     second, _ = train(splits, dataclasses.replace(config, margin_override=-2),
                       validate=False)
     assert all(bits_equal(a, b) for a, b in zip(_arrays(first), kept))
@@ -876,3 +876,172 @@ def test_train_shares_no_buffer_between_calls():
         a[...] = np.nan
     third, _ = train(splits, config, validate=False)
     assert all(bits_equal(a, b) for a, b in zip(_arrays(third), kept))
+
+
+# --- lockstep points --------------------------------------------------------------------
+
+def solo_outcome(splits, config):
+    """What ``train_points`` must give for one config: its params, or the message."""
+    try:
+        return train(splits, config, validate=False)[0]
+    except TrainingDivergedError as exc:
+        return str(exc)
+
+
+def assert_stack_matches_solo_runs(splits, configs):
+    """Train ``configs`` as one stack; every outcome has the bits of a solo run."""
+    orders = _epoch_orders(configs[0].seed, len(splits.train), configs[0].epochs)
+    got = train_points(splits, configs, orders)
+    assert len(got) == len(configs)
+    outcomes = []
+    for config, outcome in zip(configs, got):
+        want = solo_outcome(splits, config)
+        if isinstance(want, str):
+            assert outcome == want, config
+        else:
+            assert isinstance(outcome, EncoderParams), (config, outcome)
+            for a, b in zip(_arrays(outcome), _arrays(want)):
+                assert bits_equal(a, b), config
+            assert all(a.ndim == b.ndim for a, b in zip(_arrays(outcome), _arrays(want)))
+        outcomes.append(want)
+    return outcomes
+
+
+def sweep_values(axis, bits, size):
+    """``size`` values of the swept field: quant weights, or margins valid
+    at ``bits`` from both ends and the middle (0 included when bits is even)."""
+    if axis == "quant_weight":
+        return [0.0, 0.002, 0.1, 1.0, 3.0][:size]
+    valid = range(-bits, bits - 1, 2)
+    picks = [valid[0], valid[len(valid) // 2], valid[-1],
+             valid[len(valid) // 4], valid[3 * len(valid) // 4]]
+    return picks[:size]
+
+
+def stack_configs(axis, values, **fields):
+    base = TrainConfig(**{"code_bits": 8, "epochs": 3, "batch_size": 16, "seed": 5,
+                          **fields})
+    return [dataclasses.replace(base, **{axis: value}) for value in values]
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 5])
+@pytest.mark.parametrize("bits", [1, 12, 64, 65])
+@pytest.mark.parametrize("axis", ["margin_override", "quant_weight"])
+def test_stacked_points_match_solo_runs_bitwise(axis, bits, size):
+    # 60 train rows in batches of 16: a trailing batch of 12.  One bit
+    # cannot place 4 classes, so that stack takes its one valid margin.
+    splits = small_splits(seed=bits)
+    fields = {"code_bits": bits, "margin_override": -1 if bits == 1 else None,
+              "learning_rate": 0.01}
+    configs = stack_configs(axis, sweep_values(axis, bits, size), **fields)
+    outcomes = assert_stack_matches_solo_runs(splits, configs)
+    # large margins and quant weights diverge at some L, mid-stack
+    assert isinstance(outcomes[0], EncoderParams)
+
+
+@pytest.mark.parametrize("batch_size", [59, 58, 120], ids=["trailing-1", "trailing-2", "one-batch"])
+@pytest.mark.parametrize("axis", ["margin_override", "quant_weight"])
+def test_stacked_points_take_the_batches_of_solo_runs(axis, batch_size):
+    # 60 rows in batches of 59 leave a trailing batch of one (skipped) and
+    # of 58 a trailing batch of two; 120 rows in one batch of 14,400 pairs
+    splits = small_splits(seed=1) if batch_size < 120 else small_splits(seed=1, per_class=45)
+    assert len(splits.train) in (60, 120)
+    configs = stack_configs(axis, sweep_values(axis, 8, 4), batch_size=batch_size,
+                            hidden_dim=7, epochs=4)
+    assert_stack_matches_solo_runs(splits, configs)
+
+
+def test_a_point_diverging_at_a_batch_leaves_its_stack_mates_unchanged():
+    # the CI diverging sweep: lr 0.2 on the 4-class, 8-bit data; three points
+    # diverge at a batch, at epochs 3, 3 and 2, and the fourth trains on
+    dataset = generate_synthetic(num_classes=4, per_class=30, dim=8, seed=0)
+    splits = split_dataset(dataset, SplitSpec(4, 15, 4), seed=0)
+    configs = stack_configs("margin_override", [-8, -6, -4, 0], seed=0,
+                            learning_rate=0.2)
+    outcomes = assert_stack_matches_solo_runs(splits, configs)
+    assert isinstance(outcomes[0], EncoderParams)
+    assert [o.split(";")[0] for o in outcomes[1:]] == [
+        f"non-finite loss at epoch {epoch}" for epoch in (3, 3, 2)
+    ]
+    # every pair and every triple of them, too
+    for size in (2, 3):
+        for start in range(len(configs) - size + 1):
+            assert_stack_matches_solo_runs(splits, configs[start : start + size])
+
+
+@pytest.mark.parametrize(
+    "learning_rate,epochs,statuses",
+    [
+        (0.01, 3, ["ok"] * 4),
+        (1e307, 1, ["ok", "ok", "epoch 1", "epoch 1"]),
+        (1e307, 2, ["epoch 2", "epoch 2", "epoch 1", "epoch 1"]),
+    ],
+    ids=["bound-fails-all-finite", "two-diverge-at-epoch-end", "then-the-rest-at-a-batch"],
+)
+def test_stacked_points_check_the_epoch_end_as_solo_runs(monkeypatch, learning_rate,
+                                                          epochs, statuses):
+    # features near 1e300: the finiteness bound fails at every epoch end, so
+    # each point runs its two forward passes there.  One batch per epoch: at
+    # lr 1e307 the larger quant weights overflow their weights in the step,
+    # which only the epoch-end forward passes can see.
+    import hashbound.encoder as encoder_module
+
+    dataset = generate_synthetic(num_classes=4, per_class=30, dim=8, noise_sigma=1e300,
+                                 seed=0)
+    splits = split_dataset(dataset, SplitSpec(4, 15, 4), seed=0)
+    configs = stack_configs("quant_weight", [0.0, 0.002, 0.1, 1.0], seed=0,
+                            batch_size=60, epochs=epochs, learning_rate=learning_rate)
+    forwards = []
+
+    def spy(params, features):
+        forwards.append(len(features))
+        return forward(params, features)
+
+    monkeypatch.setattr(encoder_module, "forward", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        outcomes = assert_stack_matches_solo_runs(splits, configs)
+    assert [
+        o.split(";")[0].replace("non-finite loss at ", "") if isinstance(o, str) else "ok"
+        for o in outcomes
+    ] == statuses
+    assert forwards
+
+
+def test_one_point_trains_on_2d_arrays_and_a_stack_on_3d(monkeypatch):
+    # train, and a stack of one, run the step kernels on 2-D arrays with
+    # float margins and quant weight; a stack of two on (2, n, L) codes
+    import hashbound.encoder as encoder_module
+
+    splits = small_splits()
+    configs = stack_configs("margin_override", [-8, -6], epochs=1)
+    orders = _epoch_orders(5, len(splits.train), 1)
+    seen = []
+    real = encoder_module._total
+
+    def spy(codes, labels, margins, quant_weight, centers):
+        seen.append((codes.ndim, type(margins.negative_margin), type(quant_weight)))
+        return real(codes, labels, margins, quant_weight, centers)
+
+    monkeypatch.setattr(encoder_module, "_total", spy)
+    for run in (lambda: train(splits, configs[0]),
+                lambda: train_points(splits, configs[:1], orders)):
+        seen.clear()
+        run()
+        assert set(seen) == {(2, float, float)}
+    seen.clear()
+    train_points(splits, configs, orders)
+    assert set(seen) == {(3, np.ndarray, np.ndarray)}
+
+
+def test_train_points_refuses_points_that_differ_in_more_than_margin_or_weight():
+    splits = small_splits()
+    configs = stack_configs("margin_override", [-8, -6])
+    orders = _epoch_orders(5, len(splits.train), 3)
+    for other in ({"learning_rate": 0.1}, {"seed": 6}, {"epochs": 4}, {"batch_size": 8}):
+        mixed = [configs[0], dataclasses.replace(configs[1], **other)]
+        with pytest.raises(ValueError, match="differ only"):
+            train_points(splits, mixed, orders)
+    for shape in ((2, 60), (3, 59)):
+        with pytest.raises(ValueError, match="one row"):
+            train_points(splits, configs, np.zeros(shape, dtype=np.int64))
