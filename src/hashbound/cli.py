@@ -10,17 +10,13 @@ field or gives a value of the wrong type is a usage error.  ``--out`` files
 and ``--out-dir`` directories get their missing parent directories created;
 an ``--out-dir`` that is, or lies under, a file fails before data is loaded.
 
-``sweep`` trains its points in this process, in lockstep stacks: the points
-that share a seed share their data, initial weights and batch order, so
-each seed's shuffles are drawn once and its points take every step
-together, each with the bits of a point trained alone.  A stack holds at
-most ``_STACK_PAIRS // batch_size**2`` points (at least one), and a seed's
-points are split into the fewest stacks of near-equal size.  The CSV rows
-and printed lines follow the order of the points; a stack's lines are
-printed once every earlier point is done.  A point skips the per-epoch
-validation that ``train`` records in ``history.csv`` and keeps only its
-final query MAP.  A negative margin of 0 is warned about once per ``train``
-or ``sweep`` command, before the first point trains.
+``sweep`` trains its points in this process, in the lockstep stacks of
+``encoder.train_points``, each point with the bits of a point trained
+alone.  The CSV rows and printed lines follow the order of the points; a
+stack's lines are printed once every earlier point is done.  A point skips
+the per-epoch validation that ``train`` records in ``history.csv`` and
+keeps only its final query MAP.  A negative margin of 0 is warned about
+once per ``train`` or ``sweep`` command, before the first point trains.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 All outputs are machine readable (JSON / CSV) and byte-identical across
@@ -53,7 +49,6 @@ from .encoder import (
     TrainConfig,
     TrainingDivergedError,
     EncoderParams,
-    _epoch_orders,
     encode,
     load_checkpoint,
     save_checkpoint,
@@ -71,13 +66,6 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
-
-# A sweep stack holds at most this many batch pairs (points x batch_size**2):
-# 3 points at batch 64, one from batch 79 on.  A step's (points, batch,
-# batch) float64 temporaries then stay at or under 96 KiB each.  At 128 KiB
-# (4 points at batch 64) the desk sweep's steps page-faulted: the allocator
-# gave their memory back after every step and faulted it in again.
-_STACK_PAIRS = 3 * 2**12
 
 
 class _UsageError(Exception):
@@ -466,26 +454,6 @@ def _parse_number_list(text: str, cast) -> list:
         raise _UsageError(f"could not parse list {text!r}")
 
 
-def _sweep_stack(
-    splits: DatasetSplits, configs: list[TrainConfig], orders
-) -> list[float | str]:
-    """Train one stack of points in lockstep: each point's query MAP, or the
-    message of its divergence."""
-    return [
-        outcome if isinstance(outcome, str) else _evaluate(outcome, splits, None).map
-        for outcome in train_points(splits, configs, orders)
-    ]
-
-
-def _stacks(points: list[int], limit: int) -> list[list[int]]:
-    """``points`` in order, cut into the fewest stacks of at most ``limit``,
-    whose sizes differ by at most one (9 points at 8 make 5 + 4)."""
-    count = -(-len(points) // limit)
-    size, extra = divmod(len(points), count)
-    bounds = [k * size + min(k, extra) for k in range(count + 1)]
-    return [points[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, "out")
     if (args.margins is None) == (args.quant_weights is None):
@@ -508,15 +476,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for value in values:
         for seed in seeds:
             try:
-                configs.append((value, seed, replace(base, seed=seed, **{field: value})))
+                configs.append(replace(base, seed=seed, **{field: value}))
             except ValueError as exc:
                 raise _UsageError(f"sweep value {value}: {exc}")
 
     dataset = _load_dataset(args)
     splits = _make_splits(args, dataset)
-    _warn_on_zero_negative_margin(
-        [training_margins(splits, config) for _, _, config in configs]
-    )
+    _warn_on_zero_negative_margin([training_margins(splits, config) for config in configs])
     # With more classes than codewords no margin is bound-derived (as in
     # EvalReport.target_distance), but any explicit margin still trains.
     derived = None
@@ -527,26 +493,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     out = _output_file(args.out)
 
-    limit = max(1, _STACK_PAIRS // base.batch_size**2)
     results: list[float | str | None] = [None] * len(configs)
     rows = []
-    for seed in dict.fromkeys(seeds):
-        orders = _epoch_orders(seed, len(splits.train), base.epochs)
-        points = [i for i, (_, point_seed, _) in enumerate(configs) if point_seed == seed]
-        for stack in _stacks(points, limit):
-            trained = _sweep_stack(splits, [configs[i][2] for i in stack], orders)
-            for i, result in zip(stack, trained):
-                results[i] = result
-            # the lines of the points whose earlier points are all done
-            while len(rows) < len(configs) and results[len(rows)] is not None:
-                value, point_seed, _ = configs[len(rows)]
-                result = results[len(rows)]
-                if isinstance(result, str):
-                    print(f"{parameter}={value} seed={point_seed}: {result}", file=sys.stderr)
-                    rows.append([parameter, value, point_seed, "", "failed", value == derived])
-                    continue
-                rows.append([parameter, value, point_seed, repr(result), "ok", value == derived])
-                print(f"{parameter}={value} seed={point_seed}: MAP {result:.4f}")
+    for stack, outcomes in train_points(splits, configs):
+        for i, outcome in zip(stack, outcomes):
+            trained = isinstance(outcome, EncoderParams)
+            results[i] = _evaluate(outcome, splits, None).map if trained else outcome
+        del outcomes, outcome  # the stack's weights, freed before the next stack trains
+        # the lines of the points whose earlier points are all done
+        while len(rows) < len(configs) and results[len(rows)] is not None:
+            config, result = configs[len(rows)], results[len(rows)]
+            value, seed = getattr(config, field), config.seed
+            if isinstance(result, str):
+                print(f"{parameter}={value} seed={seed}: {result}", file=sys.stderr)
+                rows.append([parameter, value, seed, "", "failed", value == derived])
+                continue
+            rows.append([parameter, value, seed, repr(result), "ok", value == derived])
+            print(f"{parameter}={value} seed={seed}: MAP {result:.4f}")
 
     write_csv(out, ["parameter", "value", "seed", "map", "status", "bound_derived"], rows)
     return EXIT_RUNTIME if any(row[4] == "failed" for row in rows) else EXIT_OK

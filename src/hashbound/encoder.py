@@ -9,6 +9,11 @@ Gradients are computed analytically by the chain rule (no autograd) and are
 checked against finite differences in the test suite.  Training is
 single-threaded and fully deterministic for a given seed: weight init and
 epoch shuffling both draw from the package's xorshift64* streams.
+
+A sweep's points train in lockstep stacks (``train_points``): the points
+that share a seed share their data, initial weights and batch order, so
+each seed's shuffles are drawn once and its points take every step
+together, each with the bits of a point trained alone.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, NamedTuple
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,6 +60,13 @@ _STREAM_INIT = 0
 _STREAM_SHUFFLE = 1
 
 _CHECKPOINT_KEYS = ("hidden_weights", "hidden_bias", "output_weights", "output_bias")
+
+# A sweep stack holds at most this many batch pairs (points x batch_size**2):
+# 3 points at batch 64, one from batch 79 on.  A step's (points, batch,
+# batch) float64 temporaries then stay at or under 96 KiB each.  At 128 KiB
+# (4 points at batch 64) the desk sweep's steps page-faulted: the allocator
+# gave their memory back after every step and faulted it in again.
+_STACK_PAIRS = 3 * 2**12
 
 
 class TrainingDivergedError(RuntimeError):
@@ -495,9 +507,7 @@ def _lockstep(
     return outcomes, records
 
 
-def train(
-    splits: DatasetSplits, config: TrainConfig, *, validate: bool = True
-) -> tuple[EncoderParams, TrainHistory]:
+def train(splits: DatasetSplits, config: TrainConfig) -> tuple[EncoderParams, TrainHistory]:
     """Train the encoder on the train split; track validation MAP per epoch.
 
     Per epoch: seeded shuffle, then per mini-batch forward -> pairwise hinge
@@ -530,56 +540,74 @@ def train(
     of a ``mean_average_precision`` call on that epoch alone.  A run that
     diverges raises before it ranks its pending epochs.
 
-    With ``validate=False`` no epoch is ranked and ``records`` stays empty;
-    the params are the same bits.  An epoch end then runs no forward pass
-    when a bound on the weights proves that the database and validation
-    codes are finite: with X the largest |x| in those splits,
-    max_j sum_k |W_h[j,k]| * X + max |b_h| and
-    max_i (sum_j |W_o[i,j]| + |b_o[i]|) both below 1e300.  Only when the
-    bound fails does it run both forward passes and check them, so a
-    divergence still raises at the same epoch with the same message.
-
     Raises:
         ValueError: where ``training_margins`` does.
         TrainingDivergedError: if any loss value stops being finite.
     """
     margins = training_margins(splits, config)
     orders = _epoch_orders(config.seed, len(splits.train), config.epochs)
-    [outcome], records = _lockstep(splits, [config], [margins], orders, validate)
+    [outcome], records = _lockstep(splits, [config], [margins], orders, validate=True)
     if isinstance(outcome, str):
         raise TrainingDivergedError(outcome)
     return outcome, TrainHistory(records=records, margins=margins)
 
 
-def train_points(
-    splits: DatasetSplits, configs: list[TrainConfig], orders: np.ndarray
-) -> list[EncoderParams | str]:
-    """Train sweep points in lockstep: each config's params, or the message of
-    its divergence.
+def _stacks(points: list[int], limit: int) -> list[list[int]]:
+    """``points`` in order, cut into the fewest stacks of at most ``limit``,
+    whose sizes differ by at most one (9 points at 8 make 5 + 4)."""
+    count = -(-len(points) // limit)
+    size, extra = divmod(len(points), count)
+    bounds = [k * size + min(k, extra) for k in range(count + 1)]
+    return [points[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    The configs may differ only in ``margin_override`` and ``quant_weight``:
-    they share their seed, so their initial weights, and ``orders``, the
-    (epochs, n) shuffles of their seed.  Each step gathers the batch and
-    builds its pair masks once for the stack.  The weights, velocity and
-    gradients are (S, P) buffers, the margins and quant weights (S, 1, 1)
-    arrays, and every kernel runs one BLAS call or reduction per point, so
-    each point gets the bits of ``train(splits, config, validate=False)``.
-    A point leaves the stack at the epoch where that call would raise, with
-    its message; the others go on unchanged.  A stack of one point runs on
-    2-D arrays, as ``train`` does.  Memory grows with S times the square of
-    the batch size, so the caller bounds S.
+
+def train_points(
+    splits: DatasetSplits, configs: list[TrainConfig]
+) -> Iterator[tuple[list[int], list[EncoderParams | str]]]:
+    """Train a sweep's points in lockstep stacks; yield each stack's config
+    indices and each of its points' params, or the message of its divergence.
+
+    The configs may differ only in ``margin_override``, ``quant_weight`` and
+    ``seed``.  The points are grouped by seed, in order of first appearance,
+    and each seed's (epochs, n) shuffles are drawn once.  A step's memory
+    grows with the stack size times the square of the batch size, so each
+    group is cut, in config order, into the fewest near-equal stacks of at
+    most ``max(1, _STACK_PAIRS // batch_size**2)`` points.  The stacks train
+    one after another, in that order.
+
+    Each step gathers the batch and builds its pair masks once for the
+    stack.  The weights, velocity and gradients are (S, P) buffers, the
+    margins and quant weights (S, 1, 1) arrays, and every kernel runs one
+    BLAS call or reduction per point, so each point gets the bits of
+    ``train``'s params; a stack of one runs on 2-D arrays, as ``train``
+    does.  A point leaves its stack at the epoch where ``train`` would
+    raise, with its message; the others go on unchanged.
+
+    No epoch is ranked.  An epoch end runs no forward pass when a bound on
+    the weights proves that the database and validation codes are finite:
+    with X the largest |x| in those splits, max_j sum_k |W_h[j,k]| * X +
+    max |b_h| and max_i (sum_j |W_o[i,j]| + |b_o[i]|) both below 1e300.
+    Only when the bound fails does it run both forward passes and check
+    them, so a point still diverges at ``train``'s epoch.
 
     Raises:
-        ValueError: where ``training_margins`` does, or if the configs
-            differ in anything else or ``orders`` does not fit them.
+        ValueError: where ``training_margins`` does, if ``configs`` is
+            empty, or if the configs differ in anything else.
     """
-    shared = {replace(c, margin_override=None, quant_weight=0.0) for c in configs}
+    shared = {replace(c, margin_override=None, quant_weight=0.0, seed=0) for c in configs}
     if len(shared) != 1:
-        raise ValueError("stacked points may differ only in their margin and quant weight")
-    if orders.shape != (configs[0].epochs, len(splits.train)):
-        raise ValueError("the shuffles must hold one row of the train rows per epoch")
+        raise ValueError(
+            "a sweep needs one or more points, which may differ only in their "
+            "margin, quant weight and seed"
+        )
     margins = [training_margins(splits, config) for config in configs]
-    return _lockstep(splits, configs, margins, orders, validate=False)[0]
+    limit = max(1, _STACK_PAIRS // configs[0].batch_size**2)
+    for seed in dict.fromkeys(config.seed for config in configs):
+        orders = _epoch_orders(seed, len(splits.train), configs[0].epochs)
+        points = [i for i, config in enumerate(configs) if config.seed == seed]
+        for stack in _stacks(points, limit):
+            yield stack, _lockstep(splits, [configs[i] for i in stack],
+                                   [margins[i] for i in stack], orders, validate=False)[0]
 
 
 def save_checkpoint(

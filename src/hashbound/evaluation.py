@@ -25,17 +25,17 @@ binary search in the relevant ranks' sorted row-major keys.  Each query's
 AP is summed within its own row, so the numbers are the same for any block
 size.  ``average_precision`` is the kernel's one-row case.
 
-The scan, ``_rank``, takes a stack of G (queries, database) groups that
-share one query and one database label vector, and ranks each group's
-queries against its own database.  ``mean_average_precision`` is its G = 1
-case.  ``stacked_scores`` ranks G groups at once, for training, which
-records one MAP and one center-code distance per epoch: its distinct
-queries are keyed by (group, code, label), a block may hold rows of several
-groups (each group's distances come from its own database), and one pass
-over all G databases gives every group's class-center codes (class c of
-group g is center g * C + c).  So each group gets the bits that a
-``mean_average_precision`` call on it alone gives, and the fixed numpy cost
-of a call is paid once per stack.
+The scan, ``_rank``, and the center-code pass, ``_center_distances``, each
+take a stack of G groups that share one query and one database label
+vector: ``_rank`` ranks each group's queries against its own database, and
+one pass over all G databases gives every group's class-center codes (class
+c of group g is center g * C + c).  ``mean_average_precision`` is their
+G = 1 case.  ``stacked_scores`` runs them on G groups at once, for
+training, which records one MAP and one center-code distance per epoch: its
+distinct queries are keyed by (group, code, label), and a block may hold
+rows of several groups (each group's distances come from its own database).
+So each group gets the bits that a ``mean_average_precision`` call on it
+alone gives, and the fixed numpy cost of a call is paid once per stack.
 
 Average precision truncated at k divides by the number of relevant items
 retrieved within the top k (not by the total relevant in the database).
@@ -159,6 +159,28 @@ def _center_codes(
         ones[:, i] = np.bincount(ids, weights=has_bit, minlength=len(counts))
     # 2 * ones - count is the sum of the +-1 symbols; a tie (0) packs to +1
     return pack_sign_rows(2 * ones - counts[:, None])
+
+
+def _center_distances(
+    words: np.ndarray, labels: np.ndarray, length: int
+) -> tuple[int, list[int | None]]:
+    """The class count, and each group's minimum distance between its class
+    center codes (None below two classes), for a checked (G, m, W) database
+    stack whose groups share the labels."""
+    groups, size, width = words.shape
+    _, dense, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    if len(counts) < 2:
+        return len(counts), [None] * groups
+    # center g * C + c is group g's class c, from one pass over every row
+    centers = _center_codes(
+        words.reshape(groups * size, width),
+        length,
+        (np.arange(groups)[:, None] * len(counts) + dense).ravel(),
+        np.tile(counts, groups),
+    )
+    return len(counts), [
+        codebook_min_distance(c) for c in centers.reshape(groups, len(counts), width)
+    ]
 
 
 def _distinct_rows(
@@ -297,14 +319,10 @@ def mean_average_precision(
         for cutoff, hits in zip(cutoffs, (counts @ within).tolist())
     ]
 
-    min_dist: int | None = None
+    num_classes, [min_dist] = _center_distances(database_words[None], database_labels, length)
     target: int | None = None
-    centers = class_center_codes(database_words, length, database_labels)
-    num_classes = len(centers)
-    if num_classes >= 2:
-        min_dist = codebook_min_distance(centers)
-        if (num_classes - 1).bit_length() <= length <= MAX_CODE_BITS:
-            target = solve_target_distance(BoundProblem(length, num_classes))
+    if num_classes >= 2 and (num_classes - 1).bit_length() <= length <= MAX_CODE_BITS:
+        target = solve_target_distance(BoundProblem(length, num_classes))
 
     return EvalReport(
         map=float(per_query.mean()),
@@ -346,18 +364,4 @@ def stacked_scores(
         query_words, query_labels, database_words, database_labels, None, []
     )
     maps = ap[inverse].mean(axis=1).tolist()
-
-    groups, db_size, width = database_words.shape
-    _, dense, counts = np.unique(database_labels, return_inverse=True, return_counts=True)
-    if len(counts) < 2:
-        return maps, [None] * groups
-    # center g * C + c is group g's class c, from one pass over every row
-    centers = _center_codes(
-        database_words.reshape(groups * db_size, width),
-        length,
-        (np.arange(groups)[:, None] * len(counts) + dense).ravel(),
-        np.tile(counts, groups),
-    )
-    return maps, [
-        codebook_min_distance(c) for c in centers.reshape(groups, len(counts), width)
-    ]
+    return maps, _center_distances(database_words, database_labels, length)[1]

@@ -14,7 +14,7 @@ import pytest
 import hashbound.encoder as encoder_module
 from hashbound import cli, evaluation
 from hashbound.cli import main
-from hashbound.data import SplitSpec, generate_synthetic, load_csv, split_dataset
+from hashbound.data import load_csv
 from hashbound.encoder import TrainConfig, init_params, save_checkpoint
 from hashbound.prng import Xorshift64Star
 
@@ -574,7 +574,7 @@ def test_sweep_multi_seed_rows(tmp_path):
     assert [line.split(",")[2] for line in lines] == ["0", "1"]
 
 
-def test_sweep_point_ranks_only_its_final_evaluation(monkeypatch):
+def test_sweep_point_ranks_only_its_final_evaluation(tmp_path, monkeypatch, capfd):
     calls = {"mean_average_precision": 0, "stacked_scores": 0, "pack_sign_rows": 0}
 
     def spy_on(module, name):
@@ -589,13 +589,8 @@ def test_sweep_point_ranks_only_its_final_evaluation(monkeypatch):
     spy_on(cli, "mean_average_precision")
     spy_on(evaluation, "stacked_scores")
     spy_on(encoder_module, "pack_sign_rows")
-    dataset = generate_synthetic(num_classes=4, per_class=30, dim=8, seed=0)
-    splits = split_dataset(dataset, SplitSpec(4, 15, 4), seed=0)
-    configs = [TrainConfig(code_bits=8, epochs=3, batch_size=16, margin_override=m)
-               for m in (-8, -6)]
-    orders = encoder_module._epoch_orders(0, len(splits.train), 3)
-    results = cli._sweep_stack(splits, configs, orders)
-    assert [type(result) for result in results] == [float, float]
+    code, table, _, _ = run_sweep(capfd, tmp_path / "s.csv", ["--margins=-8,-6", *FAST_TRAIN])
+    assert code == 0 and table.decode().count(",ok,") == 2
     # per point, one ranking of the query codes against the database codes,
     # packed once each
     assert calls == {"mean_average_precision": 2, "stacked_scores": 0, "pack_sign_rows": 4}
@@ -627,25 +622,28 @@ def run_sweep(capfd, out, argv):
     return code, out.read_bytes() if out.exists() else None, captured.out, captured.err
 
 
-def train_in_this_process(splits, configs, orders):
-    """Stands in for ``cli._sweep_stack``: the id of the process that trains each point."""
-    return [float(os.getpid())] * len(configs)
+def train_in_this_process(splits, configs):
+    """Stands in for ``cli.train_points``: each point, in a stack of its own,
+    fails with the id of the process that trains it."""
+    for i in range(len(configs)):
+        yield [i], [f"trained in process {os.getpid()}"]
 
 
 def test_sweep_trains_every_point_in_process(tmp_path, monkeypatch, capfd):
     # more CPUs than points: the points still train here, in this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setattr(cli, "_sweep_stack", train_in_this_process)
+    monkeypatch.setattr(cli, "train_points", train_in_this_process)
     code, table, out, err = run_sweep(capfd, tmp_path / "s.csv",
                                       ["--margins=-8,-6,-4", *FAST_TRAIN])
-    assert (code, err) == (0, "")
+    assert (code, out) == (2, "")
     rows = [line.split(",") for line in table.decode().splitlines()[1:]]
-    assert [(row[1], float(row[3])) for row in rows] == [
-        (value, os.getpid()) for value in ("-8", "-6", "-4")
+    assert [(row[1], row[4]) for row in rows] == [
+        (value, "failed") for value in ("-8", "-6", "-4")
     ]
-    # one printed line per point, in the order of the points
-    assert [line.split(":")[0] for line in out.splitlines()] == [
-        f"negative_margin={value} seed=0" for value in (-8, -6, -4)
+    # one line per point, in the order of the points
+    assert err.splitlines() == [
+        f"negative_margin={value} seed=0: trained in process {os.getpid()}"
+        for value in (-8, -6, -4)
     ]
 
 
@@ -667,19 +665,20 @@ def test_sweep_draws_each_seeds_shuffles_once(tmp_path, monkeypatch, capfd):
 
 
 def spy_on_stacks(monkeypatch, capfd, calls):
-    """Record each ``train_points`` call as (seed, points, stdout lines printed
-    before it); returns the stdout and stderr that the spy took from ``capfd``."""
-    real = cli.train_points
+    """Record each stack that ``encoder._lockstep`` trains as (seed, points,
+    stdout lines printed before it); returns the stdout and stderr that the
+    spy took from ``capfd``."""
+    real = encoder_module._lockstep
     taken = {"out": "", "err": ""}
 
-    def spy(splits, configs, orders):
+    def spy(splits, configs, *args, **kwargs):
         captured = capfd.readouterr()
         taken["out"] += captured.out
         taken["err"] += captured.err
         calls.append((configs[0].seed, len(configs), len(taken["out"].splitlines())))
-        return real(splits, configs, orders)
+        return real(splits, configs, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "train_points", spy)
+    monkeypatch.setattr(encoder_module, "_lockstep", spy)
     return taken
 
 
@@ -701,9 +700,9 @@ def test_sweep_stacks_each_seeds_points(tmp_path, monkeypatch, capfd, stack_pair
     # Every stacking gives the bytes of the one-point stacks, so of points
     # trained alone; at lr 0.2 points diverge mid-stack.
     argv = ["--margins=-8,-6,-4,-2,0", "--seeds", "0,1", *FAST_TRAIN, "--lr", lr]
-    monkeypatch.setattr(cli, "_STACK_PAIRS", 16**2)
+    monkeypatch.setattr(encoder_module, "_STACK_PAIRS", 16**2)
     alone = run_sweep(capfd, tmp_path / "alone.csv", argv)
-    monkeypatch.setattr(cli, "_STACK_PAIRS", stack_pairs)
+    monkeypatch.setattr(encoder_module, "_STACK_PAIRS", stack_pairs)
     calls = []
     taken = spy_on_stacks(monkeypatch, capfd, calls)
     code, table, out, err = run_sweep(capfd, tmp_path / "stacked.csv", argv)
@@ -732,6 +731,29 @@ def test_sweep_prints_a_stacks_lines_once_every_earlier_point_is_done(
     assert [line.split(":")[0] for line in (taken["out"] + out).splitlines()] == [
         f"negative_margin={v} seed={s}" for v in (-8, -6, -4) for s in (0, 1)
     ]
+
+
+def test_sweep_trains_out_of_order_and_repeated_seeds_as_one_point_sweeps(
+    tmp_path, monkeypatch, capfd
+):
+    # points (-8, 1), (-8, 0), (-8, 1), (-6, 1), (-6, 0), (-6, 1): seed 1's
+    # stack trains first and holds both of its copies of each margin
+    points = [(margin, seed) for margin in (-8, -6) for seed in (1, 0, 1)]
+    alone = [
+        run_sweep(capfd, tmp_path / "point.csv",
+                  [f"--margins={margin}", "--seeds", str(seed), *FAST_TRAIN])
+        for margin, seed in points
+    ]
+    calls = []
+    taken = spy_on_stacks(monkeypatch, capfd, calls)
+    code, table, out, err = run_sweep(capfd, tmp_path / "s.csv",
+                                      ["--margins=-8,-6", "--seeds", "1,0,1", *FAST_TRAIN])
+    assert calls == [(1, 4, 0), (0, 2, 1)]
+    assert [point[0] for point in alone] == [0] * 6 and code == 0
+    lines = [point[1].splitlines(keepends=True) for point in alone]
+    assert table == lines[0][0] + b"".join(rows[1] for rows in lines)
+    assert taken["out"] + out == "".join(point[2] for point in alone)
+    assert taken["err"] + err == "".join(point[3] for point in alone)
 
 
 @pytest.mark.parametrize("batch_size", [64, 256])
@@ -831,13 +853,13 @@ def test_sigterm_ends_the_sweep_and_its_workers(tmp_path):
         proc.wait()
 
 
-def raise_value_error(splits, configs, orders):
-    """Stands in for ``cli._sweep_stack``: the stack fails with a ValueError."""
+def raise_value_error(splits, configs):
+    """Stands in for ``cli.train_points``: the sweep fails with a ValueError."""
     raise ValueError(f"no point at seed {configs[0].seed}")
 
 
 def test_sweep_value_error_raised_by_a_point(tmp_path, monkeypatch, capfd):
-    monkeypatch.setattr(cli, "_sweep_stack", raise_value_error)
+    monkeypatch.setattr(cli, "train_points", raise_value_error)
     result = run_sweep(capfd, tmp_path / "s.csv", ["--margins=-8,-6", *FAST_TRAIN])
     assert result == (1, None, "", "error: no point at seed 0\n")
 

@@ -706,31 +706,36 @@ def test_divergence_after_pending_epochs_ranks_nothing(monkeypatch):
     assert "at epoch 2;" in str(got.value)
 
 
+def solo_outcome(splits, config):
+    """``config`` trained as a one-point sweep: its params, or the message of
+    its divergence."""
+    [(stack, [outcome])] = train_points(splits, [config])
+    assert stack == [0]
+    return outcome
+
+
 @pytest.mark.parametrize("overrides", [{}], ids=["pairwise"])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_train_without_validation_gives_the_same_params(overrides, seed):
     splits = small_splits(seed=seed)
     config = TrainConfig(**{"code_bits": 8, "epochs": 4, "batch_size": 16, "seed": seed,
                             **overrides})
-    params, history = train(splits, config)
-    lean_params, lean_history = train(splits, config, validate=False)
+    params, _ = train(splits, config)
+    lean_params = solo_outcome(splits, config)
     for f in dataclasses.fields(EncoderParams):
         assert np.array_equal(getattr(lean_params, f.name), getattr(params, f.name)), f.name
-    assert lean_history.records == []
-    assert lean_history.margins == history.margins
 
 
 def test_train_without_validation_ranks_nothing(monkeypatch):
     import hashbound.encoder as encoder_module
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("called by train(validate=False)")
+        raise AssertionError("called by train_points")
 
     monkeypatch.setattr(evaluation, "stacked_scores", forbidden)
     monkeypatch.setattr(evaluation, "mean_average_precision", forbidden)
     monkeypatch.setattr(encoder_module, "pack_sign_rows", forbidden)
-    train(small_splits(), TrainConfig(code_bits=8, epochs=2, batch_size=16),
-          validate=False)
+    solo_outcome(small_splits(), TrainConfig(code_bits=8, epochs=2, batch_size=16))
 
 
 def test_train_without_validation_still_diverges_at_epoch_end():
@@ -741,10 +746,9 @@ def test_train_without_validation_still_diverges_at_epoch_end():
                          learning_rate=sys.float_info.max)
     with pytest.raises(TrainingDivergedError) as want:
         train(splits, config)
-    with pytest.raises(TrainingDivergedError) as got:
-        train(splits, config, validate=False)
-    assert str(got.value) == str(want.value)
-    assert "at epoch 1;" in str(got.value)
+    got = solo_outcome(splits, config)
+    assert got == str(want.value)
+    assert "at epoch 1;" in got
 
 
 def random_magnitudes(rng, shape, top, special_share):
@@ -810,8 +814,8 @@ def test_train_without_validation_runs_no_epoch_end_forward(monkeypatch, overrid
 
     monkeypatch.setattr(encoder_module, "forward", spy)
     splits = small_splits()
-    train(splits, TrainConfig(**{"code_bits": 8, "epochs": 4, "batch_size": 16, **overrides}),
-          validate=False)
+    solo_outcome(splits,
+                 TrainConfig(**{"code_bits": 8, "epochs": 4, "batch_size": 16, **overrides}))
     assert seen == []
 
 
@@ -832,15 +836,9 @@ def test_train_without_validation_matches_the_unproven_path(monkeypatch, overrid
     splits = small_splits()
     config = TrainConfig(**{"code_bits": 8, "epochs": 5, "batch_size": 16, **overrides})
 
-    def run():
-        try:
-            return train(splits, config, validate=False)[0]
-        except TrainingDivergedError as exc:
-            return str(exc)
-
-    proven = run()
+    proven = solo_outcome(splits, config)
     monkeypatch.setattr(encoder_module, "_forward_is_finite", lambda *args: False)
-    unproven = run()
+    unproven = solo_outcome(splits, config)
     diverged = "learning_rate" in overrides
     assert isinstance(proven, str) == isinstance(unproven, str) == diverged
     if diverged:
@@ -863,36 +861,31 @@ def test_epoch_orders_are_the_shuffle_stream_read_only():
 def test_train_shares_no_buffer_between_calls():
     splits = small_splits()
     config = TrainConfig(code_bits=8, epochs=3, batch_size=16, seed=2)
-    first, _ = train(splits, config, validate=False)
+    first = solo_outcome(splits, config)
     kept = [a.copy() for a in _arrays(first)]
     # a second call, on the same seed's shuffles, leaves the first call's
     # params as they were
-    second, _ = train(splits, dataclasses.replace(config, margin_override=-2),
-                      validate=False)
+    second = solo_outcome(splits, dataclasses.replace(config, margin_override=-2))
     assert all(bits_equal(a, b) for a, b in zip(_arrays(first), kept))
     assert not all(bits_equal(a, b) for a, b in zip(_arrays(second), kept))
     # writing into returned params changes no later result
     for a in _arrays(first) + _arrays(second):
         a[...] = np.nan
-    third, _ = train(splits, config, validate=False)
+    third = solo_outcome(splits, config)
     assert all(bits_equal(a, b) for a, b in zip(_arrays(third), kept))
 
 
 # --- lockstep points --------------------------------------------------------------------
 
-def solo_outcome(splits, config):
-    """What ``train_points`` must give for one config: its params, or the message."""
-    try:
-        return train(splits, config, validate=False)[0]
-    except TrainingDivergedError as exc:
-        return str(exc)
-
-
 def assert_stack_matches_solo_runs(splits, configs):
     """Train ``configs`` as one stack; every outcome has the bits of a solo run."""
-    orders = _epoch_orders(configs[0].seed, len(splits.train), configs[0].epochs)
-    got = train_points(splits, configs, orders)
-    assert len(got) == len(configs)
+    import hashbound.encoder as encoder_module
+
+    with pytest.MonkeyPatch.context() as patch:
+        # room for every point in one stack, at any batch size
+        patch.setattr(encoder_module, "_STACK_PAIRS", len(configs) * configs[0].batch_size**2)
+        [(stack, got)] = train_points(splits, configs)
+    assert stack == list(range(len(configs)))
     outcomes = []
     for config, outcome in zip(configs, got):
         want = solo_outcome(splits, config)
@@ -1015,7 +1008,6 @@ def test_one_point_trains_on_2d_arrays_and_a_stack_on_3d(monkeypatch):
 
     splits = small_splits()
     configs = stack_configs("margin_override", [-8, -6], epochs=1)
-    orders = _epoch_orders(5, len(splits.train), 1)
     seen = []
     real = encoder_module._total
 
@@ -1025,23 +1017,27 @@ def test_one_point_trains_on_2d_arrays_and_a_stack_on_3d(monkeypatch):
 
     monkeypatch.setattr(encoder_module, "_total", spy)
     for run in (lambda: train(splits, configs[0]),
-                lambda: train_points(splits, configs[:1], orders)):
+                lambda: list(train_points(splits, configs[:1]))):
         seen.clear()
         run()
         assert set(seen) == {(2, float, float)}
     seen.clear()
-    train_points(splits, configs, orders)
+    list(train_points(splits, configs))
     assert set(seen) == {(3, np.ndarray, np.ndarray)}
 
 
 def test_train_points_refuses_points_that_differ_in_more_than_margin_or_weight():
     splits = small_splits()
     configs = stack_configs("margin_override", [-8, -6])
-    orders = _epoch_orders(5, len(splits.train), 3)
-    for other in ({"learning_rate": 0.1}, {"seed": 6}, {"epochs": 4}, {"batch_size": 8}):
+    for other in ({"learning_rate": 0.1}, {"epochs": 4}, {"batch_size": 8}):
         mixed = [configs[0], dataclasses.replace(configs[1], **other)]
         with pytest.raises(ValueError, match="differ only"):
-            train_points(splits, mixed, orders)
-    for shape in ((2, 60), (3, 59)):
-        with pytest.raises(ValueError, match="one row"):
-            train_points(splits, configs, np.zeros(shape, dtype=np.int64))
+            next(train_points(splits, mixed))
+    with pytest.raises(ValueError, match="one or more points"):
+        next(train_points(splits, []))
+    # points of two seeds are accepted: each seed's train in their own stack
+    mixed = [configs[0], dataclasses.replace(configs[1], seed=6)]
+    got = list(train_points(splits, mixed))
+    assert [stack for stack, _ in got] == [[0], [1]]
+    for config, (_, [outcome]) in zip(mixed, got):
+        assert params_equal(outcome, train(splits, config)[0])
